@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import datatool, hazesim
-from .losses import LossWeights
 from .metrics import ms_ssim, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, load_checkpoint
 from .tensor import Tensor, load_tensor, save_tensor
@@ -87,21 +86,28 @@ def cmd_dwt(args) -> int:
 
 # -- metrics ------------------------------------------------------------------
 
+_METRIC_FIELDS = ["filename", "psnr_db", "ssim", "ms_ssim"]
+
+
+def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray) -> dict:
+    return {
+        "filename": filename,
+        "psnr_db": f"{psnr(pred, tgt):.6f}",
+        "ssim": f"{ssim(pred[None], tgt[None])[0]:.6f}",
+        "ms_ssim": f"{ms_ssim(pred[None], tgt[None]):.6f}",
+    }
+
+
 def cmd_metrics(args) -> int:
     if len(args.images) % 2:
         raise ValueError("metrics expects PRED TARGET file pairs")
     rows = []
     for i in range(0, len(args.images), 2):
         pred_path, tgt_path = args.images[i], args.images[i + 1]
-        pred = datatool.read_image(pred_path)
-        tgt = datatool.read_image(tgt_path)
-        rows.append({
-            "filename": Path(pred_path).name,
-            "psnr_db": f"{psnr(pred, tgt):.6f}",
-            "ssim": f"{ssim(pred[None], tgt[None])[0]:.6f}",
-            "ms_ssim": f"{ms_ssim(pred[None], tgt[None]):.6f}",
-        })
-    _write_csv(args.out, ["filename", "psnr_db", "ssim", "ms_ssim"], rows)
+        rows.append(_metrics_row(Path(pred_path).name,
+                                 datatool.read_image(pred_path),
+                                 datatool.read_image(tgt_path)))
+    _write_csv(args.out, _METRIC_FIELDS, rows)
     return 0
 
 
@@ -139,35 +145,40 @@ def cmd_gamma(args) -> int:
 
 # -- train / ablate -----------------------------------------------------------
 
+# config-file key -> (command-line dest, default); the one list both of the
+# keys a file may set and of what applies when neither file nor flag does
+_CONFIG_KEYS = {
+    "base_channels": ("base_channels", 16), "depth": ("depth", 2),
+    "crop": ("crop", 32), "batch": ("batch", 4), "steps": ("steps", 200),
+    "lr0": ("lr", 1e-4),
+}
+
+
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    overrides = {}
-    if args.config:
-        for line in Path(args.config).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            overrides[key.strip()] = value.strip()
-
-    def pick(name, flag_value, cast):
-        if flag_value is not None:
-            return cast(flag_value)
-        if name in overrides:
-            return cast(overrides[name])
-        return None
-
-    mcfg = ModelConfig(
-        base_channels=pick("base_channels", args.base_channels, int) or 16,
-        depth=pick("depth", args.depth, int) or 2,
-    )
-    tcfg = TrainConfig(
-        crop=pick("crop", args.crop, int) or 32,
-        batch=pick("batch", args.batch, int) or 4,
-        total_steps=pick("steps", args.steps, int) or 200,
-        seed=_default_seed(args.seed),
-        lr0=pick("lr0", args.lr, float) or 1e-4,
-        weights=LossWeights(),
-    )
+    values = {}
+    lines = Path(args.config).read_text().splitlines() if args.config else []
+    for n, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{args.config}:{n}: unknown config key {key!r} "
+                             f"(known: {', '.join(_CONFIG_KEYS)})")
+        cast = type(_CONFIG_KEYS[key][1])
+        try:
+            values[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"{args.config}:{n}: {key} = {value!r} is not "
+                             f"{cast.__name__}") from None
+    for key, (dest, default) in _CONFIG_KEYS.items():
+        flag = getattr(args, dest)
+        values[key] = flag if flag is not None else values.get(key, default)
+    mcfg = ModelConfig(base_channels=values["base_channels"],
+                       depth=values["depth"])
+    tcfg = TrainConfig(crop=values["crop"], batch=values["batch"],
+                       total_steps=values["steps"], lr0=values["lr0"],
+                       seed=_default_seed(args.seed))
     return mcfg, tcfg
 
 
@@ -220,16 +231,10 @@ def cmd_dehaze(args) -> int:
         out_path = out / Path(path).name
         datatool.write_image(out_path, dehazed)
         if targets:
-            tgt = datatool.read_image(targets[i])
-            rows.append({
-                "filename": Path(path).name,
-                "psnr_db": f"{psnr(dehazed, tgt):.6f}",
-                "ssim": f"{ssim(dehazed[None], tgt[None])[0]:.6f}",
-                "ms_ssim": f"{ms_ssim(dehazed[None], tgt[None]):.6f}",
-            })
+            rows.append(_metrics_row(Path(path).name, dehazed,
+                                     datatool.read_image(targets[i])))
     if rows:
-        _write_csv(str(out / "metrics.csv"),
-                   ["filename", "psnr_db", "ssim", "ms_ssim"], rows)
+        _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")
     return 0
 

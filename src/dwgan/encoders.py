@@ -1,19 +1,17 @@
-"""Pluggable multi-stage feature encoders.
+"""Multi-stage feature encoder.
 
 The knowledge-adaptation branch and the perceptual loss both consume an
 encoder that maps a 3-channel image to a pyramid of feature stages, each
-at half the previous resolution. The default is a fixed, seeded
-strided-convolution pyramid; real exported weights can be loaded from the
-tensor binary format to stand in for a pretrained backbone.
+at half the previous resolution. It is a fixed, seeded
+strided-convolution pyramid standing in for a pretrained backbone, so its
+weights follow from (channels, seed) alone.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .tensor import Tensor, conv2d, load_tensor, relu, save_tensor
+from .tensor import Tensor, conv2d, relu
 
 
 class ToyEncoder:
@@ -25,15 +23,12 @@ class ToyEncoder:
     """
 
     def __init__(self, channels: tuple[int, ...] = (16, 32, 64, 64),
-                 in_channels: int = 3, seed: int = 0,
-                 trainable: bool = False):
+                 seed: int = 0, trainable: bool = False):
         self.channels = tuple(int(c) for c in channels)
-        self.in_channels = in_channels
-        self.seed = seed
         self.trainable = trainable
         rng = np.random.default_rng(seed)
         self.weights: list[Tensor] = []
-        cin = in_channels
+        cin = 3
         for cout in self.channels:
             fan_in = cin * 9
             bound = np.sqrt(6.0 / fan_in)
@@ -57,19 +52,3 @@ class ToyEncoder:
     def named_parameters(self, prefix: str = "encoder"):
         for i, w in enumerate(self.weights):
             yield f"{prefix}.stage{i}.weight", w
-
-    def save_weights(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for i, w in enumerate(self.weights):
-            save_tensor(directory / f"stage{i}.bin", w)
-
-    def load_weights(self, directory) -> None:
-        directory = Path(directory)
-        for i, w in enumerate(self.weights):
-            loaded = load_tensor(directory / f"stage{i}.bin")
-            if loaded.shape != w.shape:
-                raise ValueError(
-                    f"stage {i}: file shape {loaded.shape} != {w.shape}"
-                )
-            w.data = loaded.data

@@ -37,7 +37,6 @@ class HazeParams:
     beta: float
     depth: np.ndarray      # (H, W), >= 0
     direct_density: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64).reshape(3)

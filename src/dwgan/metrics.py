@@ -14,7 +14,7 @@ tensors or arrays and return plain floats.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class SsimConfig:
 class MsSsimConfig:
     weights: tuple[float, ...] = DEFAULT_MSSSIM_WEIGHTS
     ssim: SsimConfig = field(default_factory=SsimConfig)
-    auto_reduce: bool = True
 
     @property
     def levels(self) -> int:
@@ -124,22 +123,11 @@ def ssim(a, b, cfg: SsimConfig | None = None) -> tuple[float, np.ndarray]:
     return float(smap.data.mean()), smap.data
 
 
-def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
-    """Differentiable MS-SSIM value.
-
-    The level count is reduced (with a warning and renormalized weights)
-    when the image is too small for the full pyramid; contrast/structure
-    bases are floored at 1e-6 before the fractional powers.
-    """
-    cfg = cfg or MsSsimConfig()
-    a = _as_tensor4(a)
-    b = _as_tensor4(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    _, _, h, w = a.shape
+def fit_levels(cfg: MsSsimConfig, h: int, w: int) -> MsSsimConfig:
+    """``cfg`` with its weights cut to the levels an h x w image supports,
+    warning when it cuts. Each pooling halves the dims, so level m needs a
+    min dim >= window * 2^(m-1)."""
     win = cfg.ssim.window_size
-    levels = cfg.levels
-    # each pooling halves dims; level m needs min dim >= window * 2^(m-1)
     max_levels = 0
     m = min(h, w)
     while m >= win:
@@ -147,15 +135,28 @@ def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
         m //= 2
     if max_levels < 1:
         raise ShapeError(f"image {h}x{w} smaller than window {win}")
-    if max_levels < levels:
-        if not cfg.auto_reduce:
-            raise ShapeError(
-                f"image {h}x{w} supports only {max_levels} of {levels} levels"
-            )
-        logger.warning("ms_ssim: reducing levels %d -> %d for %dx%d input",
-                       levels, max_levels, h, w)
-        levels = max_levels
-    weights = np.asarray(cfg.weights[:levels], dtype=np.float64)
+    if max_levels >= cfg.levels:
+        return cfg
+    logger.warning("ms_ssim: reducing levels %d -> %d for %dx%d input",
+                   cfg.levels, max_levels, h, w)
+    return replace(cfg, weights=cfg.weights[:max_levels])
+
+
+def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
+    """Differentiable MS-SSIM value.
+
+    The level count is reduced by ``fit_levels`` (with renormalized
+    weights) when the image is too small for the full pyramid;
+    contrast/structure bases are floored at 1e-6 before the fractional
+    powers.
+    """
+    a = _as_tensor4(a)
+    b = _as_tensor4(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    cfg = fit_levels(cfg or MsSsimConfig(), a.shape[2], a.shape[3])
+    levels = cfg.levels
+    weights = np.asarray(cfg.weights, dtype=np.float64)
     weights = weights / weights.sum()
 
     # Coarser levels contribute their mean contrast/structure term raised

@@ -105,18 +105,14 @@ class Conv(Module):
 
 class ChannelAttention(Module):
     """Global average pool -> bottleneck 1x1 convs -> sigmoid gate in (0,1)
-    applied per channel. ``force_open`` replaces the gate with ones (test
-    hook)."""
+    applied per channel."""
 
     def __init__(self, rng, channels: int, reduction: int = 8):
         mid = max(1, channels // reduction)
         self.squeeze = Conv(rng, channels, mid, k=1)
         self.excite = Conv(rng, mid, channels, k=1)
-        self.force_open = False
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.force_open:
-            return x
         gate = sigmoid(self.excite(relu(self.squeeze(spatial_mean(x)))))
         return x * broadcast_to(gate, x.shape)
 
@@ -128,11 +124,8 @@ class PixelAttention(Module):
         mid = max(1, channels // reduction)
         self.squeeze = Conv(rng, channels, mid, k=1)
         self.excite = Conv(rng, mid, 1, k=1)
-        self.force_open = False
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.force_open:
-            return x
         gate = sigmoid(self.excite(relu(self.squeeze(x))))
         return x * broadcast_to(gate, x.shape)
 
@@ -245,10 +238,10 @@ class KaBranch(Module):
     """Pyramid-encoder branch: per-stage pixel-shuffle upsampling with
     channel and pixel attention and encoder skip connections."""
 
-    def __init__(self, rng, cfg: ModelConfig, encoder=None):
-        self.encoder = encoder if encoder is not None else ToyEncoder(
-            channels=cfg.encoder_channels, seed=cfg.encoder_seed,
-            trainable=cfg.encoder_trainable)
+    def __init__(self, rng, cfg: ModelConfig):
+        self.encoder = ToyEncoder(channels=cfg.encoder_channels,
+                                  seed=cfg.encoder_seed,
+                                  trainable=cfg.encoder_trainable)
         if self.encoder.num_stages < 3:
             raise ValueError("knowledge-adaptation encoder needs >= 3 stages")
         ch = list(self.encoder.channels)
@@ -291,7 +284,7 @@ class KaBranch(Module):
 
 
 class Generator(Module):
-    def __init__(self, cfg: ModelConfig, seed: int = 0, encoder=None):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -300,7 +293,7 @@ class Generator(Module):
             self.dwt_branch = DwtBranch(rng, cfg)
             n_branches += 1
         if cfg.use_ka_branch:
-            self.ka_branch = KaBranch(rng, cfg, encoder=encoder)
+            self.ka_branch = KaBranch(rng, cfg)
             n_branches += 1
         self.fusion = Conv(rng, cfg.base_channels * n_branches, 3, k=7)
 

@@ -15,6 +15,7 @@ its backward closure immediately. There is no graph optimization.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,9 +59,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -152,15 +150,6 @@ class Tensor:
 
     def sigmoid(self):
         return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
     def abs(self):
         return absval(self)
@@ -287,26 +276,6 @@ def sigmoid(a) -> Tensor:
     return _make(s, (a,), bwd)
 
 
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    t = np.tanh(a.data)
-
-    def bwd(g):
-        a._accum(g * (1.0 - t * t))
-
-    return _make(t, (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    e = np.exp(a.data)
-
-    def bwd(g):
-        a._accum(g * e)
-
-    return _make(e, (a,), bwd)
-
-
 def log(a) -> Tensor:
     a = _coerce(a)
 
@@ -335,31 +304,6 @@ def clip_min(a, lo: float) -> Tensor:
         a._accum(g * mask)
 
     return _make(np.maximum(a.data, lo), (a,), bwd)
-
-
-def elementwise(kind: str, *inputs, slope: float = 0.2, c: float | None = None) -> Tensor:
-    """Dispatcher over the supported pointwise kinds.
-
-    kind in {add, mul, relu, leaky_relu, sigmoid, tanh, scale}; ``scale``
-    multiplies its single input by the constant ``c``.
-    """
-    if kind == "add":
-        return add(*inputs)
-    if kind == "mul":
-        return mul(*inputs)
-    if kind == "relu":
-        return relu(*inputs)
-    if kind == "leaky_relu":
-        return leaky_relu(inputs[0], slope)
-    if kind == "sigmoid":
-        return sigmoid(*inputs)
-    if kind == "tanh":
-        return tanh(*inputs)
-    if kind == "scale":
-        if c is None:
-            raise ValueError("scale requires c")
-        return mul(inputs[0], float(c))
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 # -- reductions --------------------------------------------------------------
@@ -493,30 +437,6 @@ def interleave2(a, b, c, d) -> Tensor:
         d._accum(g[:, :, 1::2, 1::2])
 
     return _make(data, (a, b, c, d), bwd)
-
-
-def reflect_pad_rb(a, pad_h: int, pad_w: int) -> Tensor:
-    """Reflect-pad the bottom and right edges of a rank-4 tensor."""
-    a = _coerce(a)
-    if a.data.ndim != 4:
-        raise ShapeError("reflect_pad_rb expects rank 4")
-    data = np.pad(a.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)),
-                  mode="reflect")
-    _, _, h, w = a.shape
-
-    def bwd(g):
-        gi = g[:, :, :h, :w].copy()
-        for k in range(1, pad_h + 1):
-            gi[:, :, h - 1 - k, :] += g[:, :, h - 1 + k, :w]
-        for k in range(1, pad_w + 1):
-            gi[:, :, :, w - 1 - k] += g[:, :, :h, w - 1 + k]
-        # corner contributions reflect in both axes
-        for ki in range(1, pad_h + 1):
-            for kj in range(1, pad_w + 1):
-                gi[:, :, h - 1 - ki, w - 1 - kj] += g[:, :, h - 1 + ki, w - 1 + kj]
-        a._accum(gi)
-
-    return _make(data, (a,), bwd)
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
@@ -694,15 +614,25 @@ def save_tensor(path, t: Tensor) -> None:
 
 
 def load_tensor(path) -> Tensor:
+    """Read a save_tensor file; anything but that exact layout (bad magic,
+    a short header or payload, bytes after the payload) is a ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
-        payload = fh.read(8 * n)
-        if len(payload) != 8 * n:
-            raise ValueError(f"truncated payload: got {len(payload)} of {8 * n} bytes")
-        arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        buf = fh.read()
+    if buf[:4] != _MAGIC:
+        raise ValueError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
+    if len(buf) < 8:
+        raise ValueError(f"truncated header: got {len(buf)} of 8 bytes")
+    (rank,) = struct.unpack("<I", buf[4:8])
+    head = 8 + 4 * rank
+    if len(buf) < head:
+        raise ValueError(f"truncated header: got {len(buf)} of {head} bytes")
+    shape = struct.unpack(f"<{rank}I", buf[8:head])
+    nbytes = 8 * math.prod(shape)
+    if len(buf) - head < nbytes:
+        raise ValueError(
+            f"truncated payload: got {len(buf) - head} of {nbytes} bytes")
+    if len(buf) - head > nbytes:
+        raise ValueError(
+            f"size mismatch: {len(buf) - head - nbytes} bytes after the payload")
+    arr = np.frombuffer(buf, dtype="<f8", offset=head).reshape(shape)
     return Tensor(arr.copy())

@@ -22,7 +22,7 @@ import numpy as np
 from .hazesim import HazePair, make_base_images, make_dataset
 from .losses import (LossWeights, PerceptualConfig, discriminator_loss,
                      total_loss)
-from .metrics import MsSsimConfig, psnr, ssim
+from .metrics import MsSsimConfig, fit_levels, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, save_checkpoint
 from .tensor import Tensor
 
@@ -123,12 +123,6 @@ class Adam:
             p.grad = None
 
 
-def adam_step(params: dict[str, Tensor], state: Adam, lr: float) -> Adam:
-    """Single functional-style step over parameters whose .grad is set."""
-    state.step(lr)
-    return state
-
-
 @dataclass
 class EvalResult:
     step: int
@@ -203,7 +197,11 @@ def train_gan(gen: Generator, disc: Discriminator | None,
 
     log_rows: list[dict] = []
     evals: list[EvalResult] = []
+    # every crop has the same size, so fit the MS-SSIM pyramid (and warn
+    # about a reduction) once rather than on every step
     ms_cfg = MsSsimConfig()
+    if weights.alpha > 0:
+        ms_cfg = fit_levels(ms_cfg, cfg.crop, cfg.crop)
     for step in range(cfg.total_steps):
         lr = lr_at(step, cfg)
         idx = rng.integers(0, len(train_pairs), size=cfg.batch)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, interleave2, reflect_pad_rb, subsample2
+from .tensor import ShapeError, Tensor, interleave2, subsample2
 
 # The four fixed analysis filters (low-low, low-high, high-low, high-high).
 F_LL = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -45,21 +45,15 @@ class Subbands:
         return self.ll, self.lh, self.hl, self.hh
 
 
-def dwt2(x: Tensor, pad: bool = False) -> Subbands:
-    """One-level Haar decomposition of a rank-4 tensor.
-
-    Odd spatial extents are an error unless ``pad=True``, in which case the
-    bottom/right edge is reflect-padded to even first.
-    """
+def dwt2(x: Tensor) -> Subbands:
+    """One-level Haar decomposition of a rank-4 tensor with even H and W."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"dwt2 expects rank 4, got {x.shape}")
     _, _, h, w = x.shape
     if h % 2 or w % 2:
-        if not pad:
-            raise ShapeError(f"odd spatial extent {h}x{w}; pass pad=True")
-        x = reflect_pad_rb(x, h % 2, w % 2)
+        raise ShapeError(f"odd spatial extent {h}x{w}; dwt2 needs even H, W")
     a = subsample2(x, 0, 0)  # x(2i,   2j)
     b = subsample2(x, 0, 1)  # x(2i,   2j+1)
     c = subsample2(x, 1, 0)  # x(2i+1, 2j)
@@ -84,26 +78,23 @@ def idwt2(s: Subbands) -> Tensor:
     return interleave2(a, b, c, d)
 
 
-def dwt_multi(x: Tensor, levels: int, pad: bool = False) -> list[Subbands]:
+def dwt_multi(x: Tensor, levels: int) -> list[Subbands]:
     """Cascaded decomposition: level k+1 transforms level k's LL band.
 
-    Returns per-level subbands, coarsest last. Without padding, H and W
-    must be divisible by 2**levels.
+    Returns per-level subbands, coarsest last. H and W must be divisible
+    by 2**levels.
     """
     if levels < 1:
         raise ValueError("levels must be positive")
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if not pad:
-        _, _, h, w = x.shape
-        if h % (1 << levels) or w % (1 << levels):
-            raise ShapeError(
-                f"{h}x{w} not divisible by 2^{levels}; pass pad=True"
-            )
+    _, _, h, w = x.shape
+    if h % (1 << levels) or w % (1 << levels):
+        raise ShapeError(f"{h}x{w} not divisible by 2^{levels}")
     out: list[Subbands] = []
     cur = x
     for _ in range(levels):
-        s = dwt2(cur, pad=pad)
+        s = dwt2(cur)
         out.append(s)
         cur = s.ll
     return out

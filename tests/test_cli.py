@@ -50,6 +50,16 @@ class TestDwt:
         # inverse of the raw subbands is exact; only write quantization left
         assert np.max(np.abs(back - read_image(src))) <= 1.0 / 255
 
+    def test_truncated_band_fails_cleanly(self, tmp_path, capsys):
+        img = tmp_path / "src.ppm"
+        write_image(img, np.zeros((3, 8, 8)))
+        sub = tmp_path / "sub"
+        assert main(["dwt", str(img), "--out", str(sub)]) == 0
+        (sub / "lh.bin").write_bytes(b"DWT0\x02\x00")
+        assert main(["dwt", str(sub), "--inverse",
+                     "--out", str(tmp_path / "rec")]) == 1
+        assert "error: truncated header" in capsys.readouterr().err
+
     def test_odd_image_fails_cleanly(self, tmp_path):
         src = tmp_path / "odd.ppm"
         write_image(src, np.zeros((3, 5, 5)))
@@ -121,15 +131,31 @@ class TestTrainDehaze:
         assert (out / "hazy.ppm").exists()
         assert (out / "metrics.csv").exists()
 
-    def test_config_file_overrides(self, tmp_path):
-        cfg = tmp_path / "toy.cfg"
-        cfg.write_text("# comment\nsteps = 2\nbase_channels = 4\ncrop = 32\n")
-        run = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--batch", "2",
-                     "--n-pairs", "6", "--image-size", "32", "--no-adv",
-                     "--out", str(run)]) == 0
-        with open(run / "log.csv") as fh:
-            assert len(list(csv.DictReader(fh))) == 2
+    def test_config_file_overrides(self, tmp_path, capsys):
+        def train(cfg_text, *flags):
+            cfg = tmp_path / "toy.cfg"
+            cfg.write_text(cfg_text)
+            run = tmp_path / "run"
+            rc = main(["train", "--config", str(cfg), "--batch", "2",
+                       "--n-pairs", "6", "--image-size", "32", "--no-adv",
+                       "--out", str(run), *flags])
+            if rc:
+                return rc, capsys.readouterr().err
+            with open(run / "log.csv") as fh:
+                return rc, list(csv.DictReader(fh))
+
+        base = "base_channels = 4\ncrop = 32\n"
+        rc, rows = train("# comment\nsteps = 2\n" + base)
+        assert rc == 0 and len(rows) == 2
+        # explicit zeros are kept, not replaced by the defaults
+        assert train("steps = 0\n" + base) == (0, [])
+        assert train("steps = 3\n" + base, "--steps", "0") == (0, [])
+        rc, rows = train("steps = 1\nlr0 = 1e-3\n" + base, "--lr", "0")
+        assert rc == 0 and float(rows[0]["lr"]) == 0.0
+        rc, err = train("base_chanels = 4\nsteps = 1\n")
+        assert rc == 1 and "'base_chanels'" in err
+        rc, err = train("steps = two\n" + base)
+        assert rc == 1 and "steps" in err
 
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dwgan.metrics import (MsSsimConfig, SsimConfig, gaussian_window,
-                           gray_stats, ms_ssim, psnr, ssim, ssim_components)
+from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, MsSsimConfig, SsimConfig,
+                           fit_levels, gaussian_window, gray_stats, ms_ssim,
+                           psnr, ssim, ssim_components)
 from dwgan.tensor import ShapeError, Tensor
 
 
@@ -114,6 +115,17 @@ class TestMsSsim:
         with caplog.at_level("WARNING"):
             ms_ssim(a, a)
         assert any("reducing levels" in r.message for r in caplog.records)
+
+    def test_fitted_levels_keep_the_bits(self, caplog):
+        a = rand_img((2, 3, 32, 32), 16)
+        b = rand_img((2, 3, 32, 32), 17)
+        fitted = fit_levels(MsSsimConfig(), 32, 32)
+        assert fitted.weights == DEFAULT_MSSSIM_WEIGHTS[:2]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert ms_ssim(a, b, fitted) == ms_ssim(a, b)
+        # only the unfitted call reduces, and so warns
+        assert len(caplog.records) == 1
 
     def test_too_small_errors(self):
         x = rand_img((1, 1, 8, 8))

@@ -102,13 +102,6 @@ class TestAttention:
         out = pa(x)
         assert np.all(np.abs(out.data) < np.abs(x.data) + 1e-15)
 
-    def test_force_open_is_identity(self):
-        rng = np.random.default_rng(10)
-        x = rand_img((1, 8, 4, 4), 11)
-        for attn in (ChannelAttention(rng, 8), PixelAttention(rng, 8)):
-            attn.force_open = True
-            np.testing.assert_array_equal(attn(x).data, x.data)
-
 
 class TestBlocks:
     def test_dwt_down_emits_transform_bands(self):
@@ -170,18 +163,35 @@ class TestDiscriminator:
         np.testing.assert_array_equal(a.data, b.data)
 
 
+def assert_round_trip(tmp_path, cfg):
+    gen = Generator(cfg, seed=5)
+    # move every parameter off its seeded value, so only what the
+    # checkpoint stores can bring the output back
+    for _, p in gen.named_parameters():
+        p.data = p.data + 0.01
+    disc = Discriminator(cfg, seed=6)
+    save_checkpoint(tmp_path, gen, disc, step=42, extra={"note": "x"})
+    gen2, disc2, manifest = load_checkpoint(tmp_path)
+    assert manifest["step"] == 42 and manifest["note"] == "x"
+    assert gen2.cfg == cfg
+    x = rand_img((1, 3, 32, 32), 26)
+    np.testing.assert_array_equal(gen(x).data, gen2(x).data)
+    np.testing.assert_array_equal(disc(x).data, disc2(x).data)
+
+
 class TestCheckpoint:
     def test_round_trip_identical_output(self, tmp_path):
-        cfg = small_cfg(use_dwt_modules=False)
-        gen = Generator(cfg, seed=5)
-        disc = Discriminator(cfg, seed=6)
-        save_checkpoint(tmp_path, gen, disc, step=42, extra={"note": "x"})
-        gen2, disc2, manifest = load_checkpoint(tmp_path)
-        assert manifest["step"] == 42 and manifest["note"] == "x"
-        assert gen2.cfg == cfg
-        x = rand_img((1, 3, 32, 32), 26)
-        np.testing.assert_array_equal(gen(x).data, gen2(x).data)
-        np.testing.assert_array_equal(disc(x).data, disc2(x).data)
+        assert_round_trip(tmp_path, small_cfg(use_dwt_modules=False))
+
+    @pytest.mark.parametrize("encoder", [
+        {"encoder_seed": 123, "encoder_channels": (8, 4, 8)},
+        {"encoder_trainable": True},
+    ], ids=["seed_and_channels", "trainable"])
+    def test_round_trip_encoder_config(self, tmp_path, encoder):
+        # the encoder is rebuilt from the manifest config; only trainable
+        # encoder weights are stored as parameters
+        assert_round_trip(tmp_path, small_cfg(use_dwt_modules=False,
+                                              **encoder))
 
     def test_generator_only(self, tmp_path):
         gen = Generator(small_cfg(), seed=0)

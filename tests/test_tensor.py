@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, avg_pool2,
-                          broadcast_to, concat, conv2d, elementwise,
-                          grad_check, interleave2, load_tensor, pixel_shuffle,
-                          pixel_unshuffle, reflect_pad_rb, save_tensor,
+from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
+                          broadcast_to, concat, conv2d, grad_check,
+                          interleave2, load_tensor, mul, pixel_shuffle,
+                          pixel_unshuffle, relu, save_tensor, sigmoid,
                           spatial_mean, subsample2)
 
 
@@ -77,24 +79,24 @@ class TestPixelShuffle:
 
 class TestElementwise:
     def test_relu_values(self):
-        out = elementwise("relu", Tensor([-1.0, 2.0]))
+        out = relu(Tensor([-1.0, 2.0]))
         assert out.data.tolist() == [0.0, 2.0]
 
     def test_sigmoid_zero(self):
-        assert elementwise("sigmoid", Tensor([0.0])).data[0] == 0.5
+        assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
     def test_add_zero(self):
         x = Tensor(rand((3, 3)))
         np.testing.assert_array_equal(
-            elementwise("add", x, Tensor(np.zeros((3, 3)))).data, x.data)
+            add(x, Tensor(np.zeros((3, 3)))).data, x.data)
 
     def test_scale(self):
-        out = elementwise("scale", Tensor([1.0, -2.0]), c=3.0)
+        out = mul(Tensor([1.0, -2.0]), 3.0)
         assert out.data.tolist() == [3.0, -6.0]
 
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
-            elementwise("add", Tensor(rand((2, 3))), Tensor(rand((3, 2))))
+            add(Tensor(rand((2, 3))), Tensor(rand((3, 2))))
 
     def test_scalar_broadcast(self):
         x = Tensor(rand((2, 2)))
@@ -164,14 +166,11 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("fn", [
         lambda t: t.sigmoid().sum(),
-        lambda t: t.tanh().sum(),
         lambda t: (t.leaky_relu(0.2) * t).sum(),
-        lambda t: t.exp().mean(),
         lambda t: pixel_shuffle(t, 2).abs().sum(),
         lambda t: avg_pool2(t).sum(),
         lambda t: spatial_mean(t * t).sum(),
         lambda t: subsample2(t, 1, 0).sum(),
-        lambda t: reflect_pad_rb(t, 1, 1).abs().sum(),
     ])
     def test_structural_ops(self, fn):
         x = Tensor(rand((1, 4, 4, 4), seed=11) + 2.0)
@@ -224,3 +223,63 @@ class TestSerialization:
         (tmp_path / "t.bin").write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_tensor(tmp_path / "t.bin")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        save_tensor(tmp_path / "t.bin", Tensor(rand((2, 3))))
+        with open(tmp_path / "t.bin", "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(ValueError, match="size mismatch"):
+            load_tensor(tmp_path / "t.bin")
+
+
+_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4,
+                                                  min_side=0, max_side=4))
+
+
+@pytest.fixture(scope="module")
+def bin_path(tmp_path_factory):
+    # one file rewritten by every example; hypothesis does not re-run
+    # function-scoped fixtures between examples
+    return tmp_path_factory.mktemp("fuzz") / "t.bin"
+
+
+def _saved_bytes(path, arr) -> bytes:
+    save_tensor(path, Tensor(arr))
+    return path.read_bytes()
+
+
+def _rejects(path, blob: bytes) -> None:
+    path.write_bytes(blob)
+    with pytest.raises(ValueError):
+        load_tensor(path)
+
+
+class TestSerializationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_arrays)
+    def test_round_trip_exact(self, bin_path, arr):
+        save_tensor(bin_path, Tensor(arr))
+        back = load_tensor(bin_path).data
+        assert back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()  # bitwise, NaNs too
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_arrays, suffix=st.binary(min_size=1, max_size=24))
+    def test_any_suffix_rejected(self, bin_path, arr, suffix):
+        _rejects(bin_path, _saved_bytes(bin_path, arr) + suffix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_arrays, data=st.data())
+    def test_any_truncation_rejected(self, bin_path, arr, data):
+        blob = _saved_bytes(bin_path, arr)
+        _rejects(bin_path, blob[:data.draw(st.integers(0, len(blob) - 1))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(st.binary(max_size=64),
+                          st.binary(max_size=60).map(lambda b: b"DWT0" + b)))
+    def test_arbitrary_bytes_raise_only_value_error(self, bin_path, blob):
+        bin_path.write_bytes(blob)
+        try:
+            load_tensor(bin_path)
+        except ValueError:
+            pass

@@ -152,6 +152,15 @@ class TestTrainGan:
         assert [e.step for e in res.evals] == [25, 50]
         assert (tmp_path / "log.csv").exists()
 
+    def test_ms_ssim_reduction_warned_once(self, caplog):
+        gen = Generator(small_model_cfg(), seed=0)
+        with caplog.at_level("WARNING", logger="dwgan.metrics"):
+            train_gan(gen, None, small_dataset(),
+                      smoke_cfg(total_steps=3, use_adv=False))
+        warned = [r for r in caplog.records
+                  if "reducing levels" in r.getMessage()]
+        assert len(warned) == 1
+
     def test_determinism(self, tmp_path):
         hashes, finals = [], []
         for run in ("a", "b"):

@@ -72,12 +72,8 @@ class TestDwt2:
             np.testing.assert_array_equal(band.data, oracle[name])
 
     def test_odd_extent_errors_without_pad(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="needs even"):
             dwt2(Tensor(rand((1, 1, 5, 4))))
-
-    def test_odd_extent_pads(self):
-        s = dwt2(Tensor(rand((1, 1, 5, 7), seed=3)), pad=True)
-        assert s.ll.shape == (1, 1, 3, 4)
 
     def test_linearity(self):
         x, y = rand((1, 1, 6, 6), seed=4), rand((1, 1, 6, 6), seed=5)
