@@ -17,15 +17,15 @@ no normalization layers are used.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .encoders import ToyEncoder
-from .tensor import (ShapeError, Tensor, broadcast_to, concat, conv2d,
-                     leaky_relu, pixel_shuffle, relu, save_tensor, sigmoid,
-                     spatial_mean, load_tensor)
+from .tensor import (ShapeError, Tensor, concat, conv2d, leaky_relu,
+                     pixel_shuffle, relu, save_tensor, sigmoid, spatial_mean,
+                     load_tensor)
 from .wavelet import Subbands, dwt2, idwt2
 
 
@@ -99,7 +99,7 @@ class Conv(Module):
     def __call__(self, x: Tensor) -> Tensor:
         y = conv2d(x, self.weight, stride=self.stride, padding=self.padding)
         if self.bias is not None:
-            y = y + broadcast_to(self.bias, y.shape)
+            y = y + self.bias
         return y
 
 
@@ -114,7 +114,7 @@ class ChannelAttention(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         gate = sigmoid(self.excite(relu(self.squeeze(spatial_mean(x)))))
-        return x * broadcast_to(gate, x.shape)
+        return x * gate
 
 
 class PixelAttention(Module):
@@ -127,7 +127,7 @@ class PixelAttention(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         gate = sigmoid(self.excite(relu(self.squeeze(x))))
-        return x * broadcast_to(gate, x.shape)
+        return x * gate
 
 
 class DwtDown(Module):
@@ -366,9 +366,20 @@ def _load_params(module: Module, directory: Path) -> None:
 
 def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
+    path = directory / "manifest.json"
+    with open(path) as fh:
         manifest = json.load(fh)
+    for key in ("config", "seed"):
+        if key not in manifest:
+            raise ValueError(f"{path}: missing key {key!r}")
     cfg_dict = dict(manifest["config"])
+    names = [f.name for f in fields(ModelConfig)]
+    for key in cfg_dict:
+        if key not in names:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+    for key in names:
+        if key not in cfg_dict:
+            raise ValueError(f"{path}: missing config key {key!r}")
     cfg_dict["encoder_channels"] = tuple(cfg_dict["encoder_channels"])
     cfg = ModelConfig(**cfg_dict)
     gen = Generator(cfg, seed=manifest["seed"])

@@ -4,8 +4,9 @@ Conventions, fixed once and used everywhere:
 
 - double precision (float64) throughout
 - conv2d is cross-correlation: kernels are applied as stored, never flipped
-- broadcasting is restricted to scalar-vs-tensor and exact same-shape;
-  anything richer must go through an explicit ``broadcast_to``
+- add/mul/div broadcast one way only: a size-1 operand against any tensor,
+  or an operand of the same rank whose every axis equals the other's or is 1
+  (a (1, C, 1, 1) bias, a (B, 1, H, W) gate); the result has the larger shape
 - tensors are immutable once created except for gradient accumulation,
   which is confined to a single backward pass
 
@@ -180,27 +181,42 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _check_broadcast(a: Tensor, b: Tensor) -> None:
+def _broadcast_order(a: Tensor, b: Tensor) -> str:
+    """Enforce the broadcasting rule; return the memory order of the result.
+
+    A non-scalar broadcast is written in C order. numpy would follow the
+    larger operand's layout, and conv2d returns a transposed view, so a
+    conv bias would change the layout later ops read and the order in
+    which later sums add."""
     if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
+        return "K"
+    if len(a.shape) == len(b.shape):
+        pairs = list(zip(a.shape, b.shape))
+        if (all(s == t or s == 1 for s, t in pairs)
+                or all(s == t or t == 1 for s, t in pairs)):
+            return "C"
     raise ShapeError(
-        f"shapes {a.shape} and {b.shape} are neither equal nor scalar"
+        f"shapes {a.shape} and {b.shape} do not broadcast: need equal shapes, "
+        f"a size-1 operand, or equal rank with only one side's axes at 1"
     )
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # grad of a scalar operand broadcast against a tensor: sum everything
+    # grad of an operand broadcast against a larger tensor: sum over the
+    # axes it was broadcast along (all of them for a size-1 operand)
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape) if np.prod(shape, dtype=int) == 1 else g
+    if math.prod(shape) == 1:
+        return np.sum(g).reshape(shape)
+    axes = tuple(i for i, (s, t) in enumerate(zip(shape, g.shape)) if s != t)
+    return g.sum(axis=axes, keepdims=True)
 
 
 # -- pointwise ops -----------------------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b)
-    data = a.data + b.data
+    data = np.add(a.data, b.data, order=_broadcast_order(a, b))
 
     def bwd(g):
         a._accum(_reduce_to(g, a.shape))
@@ -211,8 +227,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b)
-    data = a.data * b.data
+    data = np.multiply(a.data, b.data, order=_broadcast_order(a, b))
 
     def bwd(g):
         a._accum(_reduce_to(g * b.data, a.shape))
@@ -223,8 +238,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _check_broadcast(a, b)
-    data = a.data / b.data
+    data = np.divide(a.data, b.data, order=_broadcast_order(a, b))
 
     def bwd(g):
         a._accum(_reduce_to(g / b.data, a.shape))
@@ -352,29 +366,6 @@ def reshape(a, shape) -> Tensor:
         a._accum(g.reshape(old))
 
     return _make(a.data.reshape(shape), (a,), bwd)
-
-
-def broadcast_to(a, shape) -> Tensor:
-    """Explicit broadcast along size-1 axes (general broadcasting is
-    deliberately not supported by the pointwise ops)."""
-    a = _coerce(a)
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != a.data.ndim:
-        raise ShapeError(f"broadcast_to rank mismatch: {a.shape} -> {shape}")
-    axes = []
-    for i, (s0, s1) in enumerate(zip(a.shape, shape)):
-        if s0 == s1:
-            continue
-        if s0 == 1:
-            axes.append(i)
-        else:
-            raise ShapeError(f"cannot broadcast {a.shape} to {shape}")
-    axes_t = tuple(axes)
-
-    def bwd(g):
-        a._accum(g.sum(axis=axes_t, keepdims=True) if axes_t else g)
-
-    return _make(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -520,27 +511,6 @@ def pixel_shuffle(x, r: int) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def pixel_unshuffle(x, r: int) -> Tensor:
-    """Space-to-depth; exact inverse of pixel_shuffle with the same r."""
-    x = _coerce(x)
-    if x.data.ndim != 4:
-        raise ShapeError("pixel_unshuffle expects rank 4")
-    bn, c, h, w = x.shape
-    if h % r or w % r:
-        raise ShapeError(f"spatial dims {h}x{w} not divisible by r={r}")
-    ho, wo = h // r, w // r
-    data = (x.data.reshape(bn, c, ho, r, wo, r)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(bn, c * r * r, ho, wo))
-
-    def bwd(g):
-        x._accum(g.reshape(bn, c, r, r, ho, wo)
-                 .transpose(0, 1, 4, 2, 5, 3)
-                 .reshape(bn, c, h, w))
-
-    return _make(data, (x,), bwd)
-
-
 def avg_pool2(x) -> Tensor:
     """2x2 mean pooling with stride 2; requires even spatial dims."""
     x = _coerce(x)
@@ -603,8 +573,9 @@ _MAGIC = b"DWT0"
 
 def save_tensor(path, t: Tensor) -> None:
     """Flat binary format: magic "DWT0", u32 rank, u32 extents,
-    little-endian f64 payload."""
-    arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+    little-endian f64 payload. Rank > 4 is a ShapeError, raised before the
+    file is opened, as load_tensor could not read it back."""
+    arr = _coerce(t).data
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", arr.ndim))

@@ -223,7 +223,6 @@ def train_gan(gen: Generator, disc: Discriminator | None,
             d_loss.backward()
             disc_opt.step(lr)
             disc_opt.zero_grad()
-            gen.zero_grad()
             d_out = disc(pred)
         else:
             d_out = None

@@ -1,10 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from dwgan.cli import main
 from dwgan.datatool import read_image, write_image
+from dwgan.model import Generator, ModelConfig, save_checkpoint
 
 
 def dir_bytes(path):
@@ -167,6 +169,20 @@ class TestTrainDehaze:
         assert main(["dehaze", str(img), "--checkpoint", str(run / "final"),
                      "--target", str(img), str(img),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_dehaze_unknown_manifest_key_fails_cleanly(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=1),
+                                        seed=0))
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"]["base_chanels"] = 4
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        img = tmp_path / "a.ppm"
+        write_image(img, np.zeros((3, 32, 32)) + 0.5)
+        assert main(["dehaze", str(img), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'base_chanels'" in err
 
 
 class TestAblate:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,21 @@ class TestCheckpoint:
         d3 = tmp_path / "c"
         save_checkpoint(d3, gen)
         assert checkpoint_hash(d3) != checkpoint_hash(d1)
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: m.pop("config"), "'config'"),
+        (lambda m: m.pop("seed"), "'seed'"),
+        (lambda m: m["config"].update(base_chanels=4), "'base_chanels'"),
+        (lambda m: m["config"].pop("depth"), "'depth'"),
+    ], ids=["no_config", "no_seed", "unknown_key", "missing_key"])
+    def test_manifest_config_keys_checked(self, tmp_path, edit, key):
+        save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=key):
+            load_checkpoint(tmp_path)
 
     def test_missing_file_errors(self, tmp_path):
         gen = Generator(small_cfg(), seed=0)

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
-                          broadcast_to, concat, conv2d, grad_check,
-                          interleave2, load_tensor, mul, pixel_shuffle,
-                          pixel_unshuffle, relu, save_tensor, sigmoid,
-                          spatial_mean, subsample2)
+                          concat, conv2d, div, grad_check, interleave2,
+                          load_tensor, mul, pixel_shuffle, relu, save_tensor,
+                          sigmoid, spatial_mean, subsample2)
 
 
 def rand(shape, seed=0):
@@ -71,11 +70,6 @@ class TestPixelShuffle:
         with pytest.raises(ShapeError):
             pixel_shuffle(Tensor(rand((1, 3, 2, 2))), 2)
 
-    def test_unshuffle_inverts(self):
-        x = Tensor(rand((2, 8, 3, 5)))
-        np.testing.assert_array_equal(
-            pixel_unshuffle(pixel_shuffle(x, 2), 2).data, x.data)
-
 
 class TestElementwise:
     def test_relu_values(self):
@@ -101,6 +95,47 @@ class TestElementwise:
     def test_scalar_broadcast(self):
         x = Tensor(rand((2, 2)))
         np.testing.assert_allclose((x + 1.0).data, x.data + 1.0)
+
+
+_BIG = (2, 3, 4, 4)
+
+
+class TestBroadcast:
+    @pytest.mark.parametrize("op", [add, mul, div])
+    @pytest.mark.parametrize("small", [(1, 3, 1, 1), (2, 1, 4, 4)],
+                             ids=["bias", "gate"])
+    @pytest.mark.parametrize("small_first", [True, False],
+                             ids=["small_left", "small_right"])
+    def test_grad_check_both_operands(self, op, small, small_first):
+        # offset away from 0 so div stays smooth; w makes each output count
+        s = Tensor(rand(small, seed=20) + 4.0)
+        b = Tensor(rand(_BIG, seed=21) + 4.0)
+        w = Tensor(rand(_BIG, seed=22))
+
+        def out(s, b):
+            return op(s, b) if small_first else op(b, s)
+
+        assert out(s, b).shape == _BIG
+        for rep in (grad_check(lambda t: (out(t, b) * w).sum(), s),
+                    grad_check(lambda t: (out(s, t) * w).sum(), b)):
+            assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("op", [add, mul, div])
+    def test_result_c_ordered(self, op):
+        # conv2d returns a transposed view; its biased output keeps C order
+        x = Tensor(rand((2, 4, 4, 3)).transpose(0, 3, 1, 2))
+        assert op(x, Tensor(rand((1, 3, 1, 1)) + 4.0)).data.flags.c_contiguous
+
+    @pytest.mark.parametrize("op", [add, mul, div])
+    @pytest.mark.parametrize("sa, sb", [
+        ((2, 1, 4, 4), (2, 3, 1, 1)),
+        ((3,), (2, 3)),
+        ((2, 3, 4, 4), (2, 2, 1, 1)),
+    ], ids=["two_sided", "rank_mismatch", "unequal_axes"])
+    def test_rejected(self, op, sa, sb):
+        for x, y in ((sa, sb), (sb, sa)):
+            with pytest.raises(ShapeError):
+                op(Tensor(rand(x)), Tensor(rand(y)))
 
 
 class TestBackward:
@@ -192,9 +227,9 @@ class TestStructural:
         np.testing.assert_array_equal(a.grad, np.full(a.shape, 2.0))
         np.testing.assert_array_equal(b.grad, np.full(b.shape, 2.0))
 
-    def test_broadcast_to_backward_sums(self):
+    def test_broadcast_backward_sums(self):
         g = Tensor(rand((1, 3, 1, 1), seed=15), requires_grad=True)
-        broadcast_to(g, (1, 3, 4, 4)).sum().backward()
+        (g * Tensor(np.ones((1, 3, 4, 4)))).sum().backward()
         np.testing.assert_allclose(g.grad, np.full((1, 3, 1, 1), 16.0))
 
     def test_detach_cuts_graph(self):
@@ -230,6 +265,12 @@ class TestSerialization:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError, match="size mismatch"):
             load_tensor(tmp_path / "t.bin")
+
+    def test_rank5_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "r5.bin"
+        with pytest.raises(ShapeError):
+            save_tensor(path, np.zeros((1, 1, 1, 1, 2)))
+        assert not path.exists()
 
 
 _arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4,
