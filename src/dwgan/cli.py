@@ -21,7 +21,7 @@ import numpy as np
 from . import datatool, hazesim
 from .metrics import ms_ssim, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, load_checkpoint
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
 from .wavelet import Subbands, dwt2, idwt2
 
@@ -227,7 +227,8 @@ def cmd_dehaze(args) -> int:
         raise ValueError("number of --target files must match inputs")
     for i, path in enumerate(args.images):
         img = datatool.read_image(path)
-        dehazed = gen(Tensor(img[None])).data[0]
+        with no_grad():
+            dehazed = gen(Tensor(img[None])).data[0]
         out_path = out / Path(path).name
         datatool.write_image(out_path, dehazed)
         if targets:

@@ -364,6 +364,15 @@ def _load_params(module: Module, directory: Path) -> None:
         p.data = loaded.data
 
 
+def _fits(default, value) -> bool:
+    """Whether a JSON value has the type of a ModelConfig default: exactly
+    int for an int (a bool is not one), bool for a bool, and a list of ints
+    for a tuple."""
+    if isinstance(default, tuple):
+        return type(value) is list and all(type(v) is int for v in value)
+    return type(value) is type(default)
+
+
 def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -372,14 +381,23 @@ def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     for key in ("config", "seed"):
         if key not in manifest:
             raise ValueError(f"{path}: missing key {key!r}")
+    if not isinstance(manifest["config"], dict):
+        raise ValueError(f"{path}: key 'config' is not a table")
     cfg_dict = dict(manifest["config"])
     names = [f.name for f in fields(ModelConfig)]
     for key in cfg_dict:
         if key not in names:
             raise ValueError(f"{path}: unknown config key {key!r}")
-    for key in names:
-        if key not in cfg_dict:
-            raise ValueError(f"{path}: missing config key {key!r}")
+    for f in fields(ModelConfig):
+        if f.name not in cfg_dict:
+            raise ValueError(f"{path}: missing config key {f.name!r}")
+        if not _fits(f.default, cfg_dict[f.name]):
+            raise ValueError(f"{path}: config key {f.name!r} has a bad value "
+                             f"{cfg_dict[f.name]!r}")
+    for key in ("seed", "disc_seed"):
+        if key in manifest and type(manifest[key]) is not int:
+            raise ValueError(f"{path}: key {key!r} has a bad value "
+                             f"{manifest[key]!r}")
     cfg_dict["encoder_channels"] = tuple(cfg_dict["encoder_channels"])
     cfg = ModelConfig(**cfg_dict)
     gen = Generator(cfg, seed=manifest["seed"])

@@ -12,10 +12,17 @@ Conventions, fixed once and used everywhere:
 
 The engine is eager: every operation on a gradient-requiring tensor records
 its backward closure immediately. There is no graph optimization.
+
+Inside a ``with no_grad():`` block nothing is recorded: every result has
+requires_grad False, no parents and no backward closure, so nothing keeps
+an op's intermediates (a conv's im2col matrix) alive after it returns.
+Forward values are bit-identical to a recording run. The block restores
+the previous state on exit, also when it raises, and blocks nest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -171,10 +178,24 @@ def _coerce(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run a block without recording the graph (see the module docstring)."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -456,27 +477,28 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     ho, wo = windows.shape[2], windows.shape[3]
-    # im2col: one contiguous copy, then plain matmuls
-    col = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)) \
-        .reshape(bn * ho * wo, cin * kh * kw)
+    # channel-major im2col: row (c, i, j) holds tap (i, j) of channel c at
+    # every output pixel, columns ordered (b, y, x). Each run the copy
+    # writes is a contiguous output row, not a scattered Cin*kh*kw gather.
+    col = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)) \
+        .reshape(cin * kh * kw, bn * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    data = (col @ kmat.T).reshape(bn, ho, wo, cout).transpose(0, 3, 1, 2)
+    # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
+    data = (kmat @ col).reshape(cout, bn, ho, wo).transpose(1, 0, 2, 3)
 
     def bwd(g):
-        gflat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
-            .reshape(bn * ho * wo, cout)
+        gmat = g.transpose(1, 0, 2, 3).reshape(cout, bn * ho * wo)
         if kernel.requires_grad:
-            kernel._accum((gflat.T @ col).reshape(cout, cin, kh, kw))
+            kernel._accum((gmat @ col.T).reshape(cout, cin, kh, kw))
         if x.requires_grad:
-            # one contiguous copy so each (i, j) slab is a flat block
-            gcol = np.ascontiguousarray(
-                (gflat @ kmat).reshape(bn, ho, wo, cin, kh, kw)
-                .transpose(4, 5, 0, 3, 1, 2))
+            # slab (i, j) is the gradient of every input pixel under tap (i, j)
+            gcol = (kmat.T @ gmat).reshape(cin, kh, kw, bn, ho, wo)
             gx = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     gx[:, :, i:i + stride * ho:stride,
-                       j:j + stride * wo:stride] += gcol[i, j]
+                       j:j + stride * wo:stride] += \
+                        gcol[:, i, j].transpose(1, 0, 2, 3)
             if padding:
                 gx = gx[:, :, padding:padding + h, padding:padding + w]
             x._accum(gx)

@@ -24,7 +24,7 @@ from .losses import (LossWeights, PerceptualConfig, discriminator_loss,
                      total_loss)
 from .metrics import MsSsimConfig, fit_levels, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, save_checkpoint
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 @dataclass
@@ -149,7 +149,8 @@ def evaluate(gen: Generator, pairs: list[HazePair]) -> tuple[float, float]:
     """Mean PSNR/SSIM of the generator output against clear, full size."""
     ps, ss = [], []
     for pair in pairs:
-        out = gen(_batch_tensor([pair.hazy])).data[0]
+        with no_grad():
+            out = gen(_batch_tensor([pair.hazy])).data[0]
         ps.append(psnr(out, pair.clear))
         ss.append(ssim(out[None], pair.clear[None])[0])
     return float(np.mean(ps)), float(np.mean(ss))

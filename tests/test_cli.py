@@ -171,18 +171,21 @@ class TestTrainDehaze:
                      "--out", str(tmp_path / "o")]) == 1
 
     def test_dehaze_unknown_manifest_key_fails_cleanly(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=1),
-                                        seed=0))
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["config"]["base_chanels"] = 4
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        # an unknown key, then values of the wrong type for known keys
         img = tmp_path / "a.ppm"
         write_image(img, np.zeros((3, 32, 32)) + 0.5)
-        assert main(["dehaze", str(img), "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "'base_chanels'" in err
+        for key, value in (("base_chanels", 4), ("encoder_channels", 16),
+                           ("depth", "2")):
+            ckpt = tmp_path / "ckpt"
+            save_checkpoint(ckpt, Generator(
+                ModelConfig(base_channels=4, depth=1), seed=0))
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["config"][key] = value
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            assert main(["dehaze", str(img), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"'{key}'" in err
 
 
 class TestAblate:

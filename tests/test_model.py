@@ -218,7 +218,23 @@ class TestCheckpoint:
         (lambda m: m.pop("seed"), "'seed'"),
         (lambda m: m["config"].update(base_chanels=4), "'base_chanels'"),
         (lambda m: m["config"].pop("depth"), "'depth'"),
-    ], ids=["no_config", "no_seed", "unknown_key", "missing_key"])
+        (lambda m: m["config"].update(encoder_channels=16),
+         "'encoder_channels'"),
+        (lambda m: m["config"].update(encoder_channels=[4, "8", 8]),
+         "'encoder_channels'"),
+        (lambda m: m["config"].update(depth="2"), "'depth'"),
+        (lambda m: m["config"].update(depth=2.0), "'depth'"),
+        (lambda m: m["config"].update(base_channels=True), "'base_channels'"),
+        (lambda m: m["config"].update(use_ka_branch=1), "'use_ka_branch'"),
+        (lambda m: m["config"].update(encoder_trainable="no"),
+         "'encoder_trainable'"),
+        (lambda m: m.update(seed="0"), "'seed'"),
+        (lambda m: m.update(disc_seed=1.0), "'disc_seed'"),
+        (lambda m: m.update(config=[["depth", 2]]), "'config'"),
+    ], ids=["no_config", "no_seed", "unknown_key", "missing_key",
+            "channels_int", "channels_str_item", "depth_str", "depth_float",
+            "int_bool", "bool_int", "bool_str", "seed_str", "disc_seed_float",
+            "config_list"])
     def test_manifest_config_keys_checked(self, tmp_path, edit, key):
         save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
         path = tmp_path / "manifest.json"

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dwgan.model import Generator, ModelConfig
 from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
                           concat, conv2d, div, grad_check, interleave2,
-                          load_tensor, mul, pixel_shuffle, relu, save_tensor,
-                          sigmoid, spatial_mean, subsample2)
+                          load_tensor, mul, no_grad, pixel_shuffle, relu,
+                          save_tensor, sigmoid, spatial_mean, subsample2)
 
 
 def rand(shape, seed=0):
@@ -50,6 +51,57 @@ class TestConv2d:
     def test_rank_mismatch(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(rand((2, 4, 4))), Tensor(rand((1, 1, 2, 2))))
+
+
+def conv_reference(x, k, g, stride, padding):
+    """Output, kernel gradient and input gradient of a cross-correlation,
+    one output pixel at a time; g is the gradient arriving at the output."""
+    bn, _, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((bn, cout, ho, wo))
+    dk = np.zeros_like(k)
+    dxp = np.zeros_like(xp)
+    for b in range(bn):
+        for o in range(cout):
+            for y in range(ho):
+                for z in range(wo):
+                    win = (b, slice(None), slice(y * stride, y * stride + kh),
+                           slice(z * stride, z * stride + kw))
+                    out[b, o, y, z] = np.sum(xp[win] * k[o])
+                    dk[o] += g[b, o, y, z] * xp[win]
+                    dxp[win] += g[b, o, y, z] * k[o]
+    return out, dk, dxp[:, :, padding:padding + h, padding:padding + w]
+
+
+class TestConv2dReference:
+    """conv2d against the per-pixel loop at batch 2, Cin != Cout and a
+    non-square input, for every kernel kind the model and metrics run."""
+
+    @pytest.mark.parametrize("kh, kw, stride, padding", [
+        (7, 7, 1, 3), (3, 3, 1, 1), (3, 3, 2, 1), (4, 4, 2, 1), (1, 1, 1, 0),
+        (11, 1, 1, 0), (1, 11, 1, 0),
+    ], ids=["k7s1", "k3s1", "k3s2", "k4s2", "k1s1", "k11x1", "k1x11"])
+    @pytest.mark.parametrize("layout", ["c_order", "transposed"])
+    def test_matches_loop(self, kh, kw, stride, padding, layout):
+        xd = rand((2, 3, 12, 14), seed=20)
+        if layout == "transposed":
+            # laid out as a conv output is: channels outermost in memory
+            xd = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)) \
+                .transpose(1, 0, 2, 3)
+            assert not xd.flags.c_contiguous
+        kd = rand((2, 3, kh, kw), seed=21)
+        x = Tensor(xd, requires_grad=True)
+        k = Tensor(kd, requires_grad=True)
+        y = conv2d(x, k, stride=stride, padding=padding)
+        g = rand(y.shape, seed=22)
+        (y * Tensor(g)).sum().backward()
+        out, dk, dx = conv_reference(xd, kd, g, stride, padding)
+        assert y.shape == out.shape
+        for got, want in ((y.data, out), (k.grad, dk), (x.grad, dx)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestPixelShuffle:
@@ -171,6 +223,41 @@ class TestBackward:
         a = x * 2.0
         (a.sum() + a.sum()).backward()
         np.testing.assert_allclose(x.grad, np.full(4, 4.0))
+
+
+class TestNoGrad:
+    def test_generator_output_bit_identical(self):
+        gen = Generator(ModelConfig(base_channels=4, depth=2,
+                                    encoder_channels=(4, 8, 8)), seed=3)
+        x = Tensor(rand((1, 3, 16, 16), seed=30))
+        recorded = gen(x)
+        assert recorded._backward is not None
+        with no_grad():
+            plain = gen(x)
+        np.testing.assert_array_equal(plain.data, recorded.data)
+
+    def test_nothing_recorded_inside(self):
+        x = Tensor(rand((1, 2, 6, 6), seed=31), requires_grad=True)
+        k = Tensor(rand((3, 2, 3, 3), seed=32), requires_grad=True)
+        with no_grad():
+            made = [conv2d(x, k, padding=1)]
+            made += [relu(made[0]), made[0] * x.sum(), made[0].mean()]
+        for t in made:
+            assert not t.requires_grad
+            assert t._backward is None and t._parents == ()
+
+    def test_state_restored_after_raise_and_nesting(self):
+        x = Tensor(rand((3,), seed=33), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert (x * 2.0)._backward is not None
+        with no_grad():
+            with no_grad():
+                assert (x * 2.0)._backward is None
+            assert (x * 2.0)._backward is None
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
 
 class TestGradCheck:
