@@ -15,7 +15,7 @@ its backward closure immediately. There is no graph optimization.
 
 Inside a ``with no_grad():`` block nothing is recorded: every result has
 requires_grad False, no parents and no backward closure, so nothing keeps
-an op's intermediates (a conv's im2col matrix) alive after it returns.
+an op's intermediates (a conv's padded input) alive after it returns.
 Forward values are bit-identical to a recording run. The block restores
 the previous state on exit, also when it raises, and blocks nest.
 """
@@ -451,6 +451,13 @@ def interleave2(a, b, c, d) -> Tensor:
     return _make(data, (a, b, c, d), bwd)
 
 
+# conv2d builds its im2col matrix one band of output rows at a time, each
+# band about this many bytes or one row if a row is larger, so the copy
+# and the product stay in cache and no call allocates the whole matrix:
+# at 96 px the fusion conv's would be 115 MB of fresh pages per call.
+_COL_BAND_BYTES = 1 << 20
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation of a (B, Cin, H, W) input with a
     (Cout, Cin, kh, kw) kernel; zero padding.
@@ -477,21 +484,37 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     ho, wo = windows.shape[2], windows.shape[3]
-    # channel-major im2col: row (c, i, j) holds tap (i, j) of channel c at
-    # every output pixel, columns ordered (b, y, x). Each run the copy
-    # writes is a contiguous output row, not a scattered Cin*kh*kw gather.
-    col = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3)) \
-        .reshape(cin * kh * kw, bn * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
+    rows = max(1, _COL_BAND_BYTES // (cin * kh * kw * bn * wo * xp.itemsize))
+    bands = range(0, ho, rows)
+
+    def col(y0):
+        # channel-major im2col of output rows y0:y0 + rows: row (c, i, j)
+        # holds tap (i, j) of channel c at each of those output pixels,
+        # columns ordered (b, y, x). Each run the copy writes is a
+        # contiguous output row, not a scattered Cin*kh*kw gather.
+        return np.ascontiguousarray(
+            windows[:, :, y0:y0 + rows].transpose(1, 4, 5, 0, 2, 3)) \
+            .reshape(cin * kh * kw, -1)
+
     # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
-    data = (kmat @ col).reshape(cout, bn, ho, wo).transpose(1, 0, 2, 3)
+    out = np.empty((cout, bn, ho, wo))
+    for y0 in bands:
+        out[:, :, y0:y0 + rows] = \
+            (kmat @ col(y0)).reshape(cout, bn, -1, wo)
+    data = out.transpose(1, 0, 2, 3)
 
     def bwd(g):
-        gmat = g.transpose(1, 0, 2, 3).reshape(cout, bn * ho * wo)
+        gt = g.transpose(1, 0, 2, 3)
         if kernel.requires_grad:
-            kernel._accum((gmat @ col.T).reshape(cout, cin, kh, kw))
+            # built again, not kept from the forward, so that no call
+            # holds the whole matrix either
+            dw = sum(gt[:, :, y0:y0 + rows].reshape(cout, -1) @ col(y0).T
+                     for y0 in bands)
+            kernel._accum(dw.reshape(cout, cin, kh, kw))
         if x.requires_grad:
             # slab (i, j) is the gradient of every input pixel under tap (i, j)
+            gmat = gt.reshape(cout, bn * ho * wo)
             gcol = (kmat.T @ gmat).reshape(cin, kh, kw, bn, ho, wo)
             gx = np.zeros_like(xp)
             for i in range(kh):

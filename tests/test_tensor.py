@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dwgan import tensor
 from dwgan.model import Generator, ModelConfig
 from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
                           concat, conv2d, div, grad_check, interleave2,
@@ -80,12 +81,14 @@ class TestConv2dReference:
     """conv2d against the per-pixel loop at batch 2, Cin != Cout and a
     non-square input, for every kernel kind the model and metrics run."""
 
-    @pytest.mark.parametrize("kh, kw, stride, padding", [
+    KINDS = pytest.mark.parametrize("kh, kw, stride, padding", [
         (7, 7, 1, 3), (3, 3, 1, 1), (3, 3, 2, 1), (4, 4, 2, 1), (1, 1, 1, 0),
         (11, 1, 1, 0), (1, 11, 1, 0),
     ], ids=["k7s1", "k3s1", "k3s2", "k4s2", "k1s1", "k11x1", "k1x11"])
-    @pytest.mark.parametrize("layout", ["c_order", "transposed"])
-    def test_matches_loop(self, kh, kw, stride, padding, layout):
+    LAYOUTS = pytest.mark.parametrize("layout", ["c_order", "transposed"])
+
+    @staticmethod
+    def check(kh, kw, stride, padding, layout):
         xd = rand((2, 3, 12, 14), seed=20)
         if layout == "transposed":
             # laid out as a conv output is: channels outermost in memory
@@ -102,6 +105,23 @@ class TestConv2dReference:
         assert y.shape == out.shape
         for got, want in ((y.data, out), (k.grad, dk), (x.grad, dx)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @KINDS
+    @LAYOUTS
+    def test_matches_loop(self, kh, kw, stride, padding, layout):
+        self.check(kh, kw, stride, padding, layout)
+
+    @KINDS
+    @LAYOUTS
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_bands_match_loop(self, kh, kw, stride, padding, layout, rows,
+                              monkeypatch):
+        # shrink the band so the 12-row input takes several: one row each,
+        # or five rows each with a shorter last band
+        wo = (14 + 2 * padding - kw) // stride + 1
+        monkeypatch.setattr(tensor, "_COL_BAND_BYTES",
+                            rows * 3 * kh * kw * 2 * wo * 8)
+        self.check(kh, kw, stride, padding, layout)
 
 
 class TestPixelShuffle:
