@@ -18,6 +18,13 @@ requires_grad False, no parents and no backward closure, so nothing keeps
 an op's intermediates (a conv's padded input) alive after it returns.
 Forward values are bit-identical to a recording run. The block restores
 the previous state on exit, also when it raises, and blocks nest.
+
+``backward()`` releases the graph as it sweeps it: once a node's closure
+has run, the node drops its parents, its gradient and the closure (and with
+it whatever the closure kept alive, a conv's padded input), so one step's
+graph does not outlive its backward. Leaves, the tensors with no closure
+(parameters and inputs), keep their ``.grad``. A later backward that reaches
+a released node raises RuntimeError instead of adding a partial gradient.
 """
 
 from __future__ import annotations
@@ -92,7 +99,11 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
-        Gradients accumulate additively across multiple uses of a node.
+        Gradients accumulate additively across multiple uses of a node
+        within the sweep. The sweep releases every node whose closure it
+        runs (see the module docstring): afterwards only the leaves hold a
+        ``.grad``, and a second backward through the same graph raises
+        RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -114,9 +125,16 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # popped, so a node's data goes as soon as its consumers are released
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents = ()
+            node.grad = None
+            node._backward = _released
 
     # -- operator sugar ------------------------------------------------------
 
@@ -176,6 +194,11 @@ def _coerce(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
+
+
+def _released(g: np.ndarray) -> None:
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() released")
 
 
 _recording = True
@@ -283,7 +306,7 @@ def power(a, p: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _coerce(a)
-    mask = (a.data > 0).astype(np.float64)
+    mask = a.data > 0
 
     def bwd(g):
         a._accum(g * mask)
@@ -333,7 +356,7 @@ def absval(a) -> Tensor:
 def clip_min(a, lo: float) -> Tensor:
     """max(a, lo) elementwise; gradient is zero where the floor is active."""
     a = _coerce(a)
-    mask = (a.data > lo).astype(np.float64)
+    mask = a.data > lo
 
     def bwd(g):
         a._accum(g * mask)
@@ -371,7 +394,7 @@ def spatial_mean(a) -> Tensor:
     data = a.data.mean(axis=(2, 3), keepdims=True)
 
     def bwd(g):
-        a._accum(np.broadcast_to(g / (h * w), a.shape).copy())
+        a._accum(np.broadcast_to(g / (h * w), a.shape))
 
     return _make(data, (a,), bwd)
 
@@ -484,7 +507,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     ho, wo = windows.shape[2], windows.shape[3]
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
+    kd = kernel.data
+    kmat = kd.reshape(cout, cin * kh * kw)
     rows = max(1, _COL_BAND_BYTES // (cin * kh * kw * bn * wo * xp.itemsize))
     bands = range(0, ho, rows)
 
@@ -513,18 +537,19 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
                      for y0 in bands)
             kernel._accum(dw.reshape(cout, cin, kh, kw))
         if x.requires_grad:
-            # slab (i, j) is the gradient of every input pixel under tap (i, j)
+            # built tap by tap: the (Cin, B*Ho*Wo) product for tap (i, j)
+            # is the gradient of every input pixel under that tap, so no
+            # call forms the im2col-sized kmat.T @ gmat. gx is laid out
+            # (Cin, B, Hp, Wp), as the products come out.
             gmat = gt.reshape(cout, bn * ho * wo)
-            gcol = (kmat.T @ gmat).reshape(cin, kh, kw, bn, ho, wo)
-            gx = np.zeros_like(xp)
+            gx = np.zeros((cin, bn) + xp.shape[2:])
             for i in range(kh):
                 for j in range(kw):
                     gx[:, :, i:i + stride * ho:stride,
                        j:j + stride * wo:stride] += \
-                        gcol[:, i, j].transpose(1, 0, 2, 3)
-            if padding:
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
-            x._accum(gx)
+                        (kd[:, :, i, j].T @ gmat).reshape(cin, bn, ho, wo)
+            x._accum(gx.transpose(1, 0, 2, 3)
+                     [:, :, padding:padding + h, padding:padding + w])
 
     return _make(data, (x, kernel), bwd)
 

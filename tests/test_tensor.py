@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +126,27 @@ class TestConv2dReference:
         self.check(kh, kw, stride, padding, layout)
 
 
+class TestConv2dBackwardMemory:
+    """The backward's working memory is a few copies of the input, not an
+    im2col-sized matrix kh*kw times larger (1 MB input, so a 5 MB bound)."""
+
+    @pytest.mark.parametrize("cout, k, padding", [(3, 7, 3), (16, 3, 1)],
+                             ids=["fusion_k7", "k3"])
+    def test_peak_bounded_by_input(self, cout, k, padding):
+        x = Tensor(rand((4, 32, 32, 32), seed=40), requires_grad=True)
+        w = Tensor(rand((cout, 32, k, k), seed=41), requires_grad=True)
+        loss = conv2d(x, w, padding=padding).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        bound = 4 * x.data.nbytes + tensor._COL_BAND_BYTES
+        assert peak <= bound, (peak, bound)
+
+
 class TestPixelShuffle:
     def test_rearrangement_by_definition(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1))
@@ -147,6 +170,11 @@ class TestElementwise:
     def test_relu_values(self):
         out = relu(Tensor([-1.0, 2.0]))
         assert out.data.tolist() == [0.0, 2.0]
+
+    def test_relu_zero_signs(self):
+        # a negative input times the zero mask gives -0.0
+        out = relu(Tensor([-1.0, -0.0, 0.0, 2.0]))
+        assert np.signbit(out.data).tolist() == [True, True, False, False]
 
     def test_sigmoid_zero(self):
         assert sigmoid(Tensor([0.0])).data[0] == 0.5
@@ -243,6 +271,29 @@ class TestBackward:
         a = x * 2.0
         (a.sum() + a.sum()).backward()
         np.testing.assert_allclose(x.grad, np.full(4, 4.0))
+
+    def test_graph_released_leaves_keep_grads(self):
+        x = Tensor(rand((1, 2, 6, 6), seed=34), requires_grad=True)
+        k = Tensor(rand((3, 2, 3, 3), seed=35), requires_grad=True)
+        y = conv2d(x, k, padding=1)
+        z = relu(y)
+        loss = z.mean()
+        loss.backward()
+        for node in (y, z, loss):
+            assert node._parents == () and node.grad is None
+        assert x.grad.shape == x.shape and k.grad.shape == k.shape
+        assert np.any(x.grad) and np.any(k.grad)
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor(rand((3,), seed=36), requires_grad=True)
+        y = x * x
+        loss = y.sum()
+        loss.backward()
+        first = x.grad.copy()
+        for again in (lambda: loss.backward(), lambda: y.sum().backward()):
+            with pytest.raises(RuntimeError, match="released"):
+                again()
+        np.testing.assert_array_equal(x.grad, first)
 
 
 class TestNoGrad:
