@@ -7,7 +7,8 @@ from .hazesim import (HazePair, HazeParams, apply_haze, invert_haze,
                       make_base_images, make_dataset, transmission)
 from .metrics import MsSsimConfig, SsimConfig, gray_stats, ms_ssim, psnr, ssim
 from .losses import LossWeights, PerceptualConfig, smooth_l1, total_loss
-from .model import Discriminator, Generator, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (Discriminator, Generator, ModelConfig, load_checkpoint,
+                    load_generator, save_checkpoint)
 from .train import Adam, TrainConfig, ablation_run, augment, lr_at, train_gan
 
 __all__ = [
@@ -18,6 +19,6 @@ __all__ = [
     "MsSsimConfig", "SsimConfig", "gray_stats", "ms_ssim", "psnr", "ssim",
     "LossWeights", "PerceptualConfig", "smooth_l1", "total_loss",
     "Discriminator", "Generator", "ModelConfig", "load_checkpoint",
-    "save_checkpoint",
+    "load_generator", "save_checkpoint",
     "Adam", "TrainConfig", "ablation_run", "augment", "lr_at", "train_gan",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import datatool, hazesim
 from .metrics import ms_ssim, psnr, ssim
-from .model import Discriminator, Generator, ModelConfig, load_checkpoint
+from .model import Discriminator, Generator, ModelConfig, load_generator
 from .tensor import Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
 from .wavelet import Subbands, dwt2, idwt2
@@ -218,7 +218,7 @@ def cmd_ablate(args) -> int:
 # -- dehaze -------------------------------------------------------------------
 
 def cmd_dehaze(args) -> int:
-    gen, _, _ = load_checkpoint(args.checkpoint)
+    gen, _ = load_generator(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

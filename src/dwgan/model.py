@@ -373,7 +373,9 @@ def _fits(default, value) -> bool:
     return type(value) is type(default)
 
 
-def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
+def load_generator(directory) -> tuple[Generator, dict]:
+    """The generator of a checkpoint directory and its manifest; the
+    discriminator's files are not read."""
     directory = Path(directory)
     path = directory / "manifest.json"
     with open(path) as fh:
@@ -402,8 +404,16 @@ def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     cfg = ModelConfig(**cfg_dict)
     gen = Generator(cfg, seed=manifest["seed"])
     _load_params(gen, directory / "params")
+    return gen, manifest
+
+
+def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
+    """The generator, the discriminator (None when the directory has no
+    ``disc_params/``) and the manifest of a checkpoint directory."""
+    directory = Path(directory)
+    gen, manifest = load_generator(directory)
     disc = None
     if (directory / "disc_params").exists():
-        disc = Discriminator(cfg, seed=manifest.get("disc_seed", 1))
+        disc = Discriminator(gen.cfg, seed=manifest.get("disc_seed", 1))
         _load_params(disc, directory / "disc_params")
     return gen, disc, manifest

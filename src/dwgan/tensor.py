@@ -4,11 +4,14 @@ Conventions, fixed once and used everywhere:
 
 - double precision (float64) throughout
 - conv2d is cross-correlation: kernels are applied as stored, never flipped
+  (a conv that runs as its transpose reads the kernel flipped internally;
+  the result is the same cross-correlation)
 - add/mul/div broadcast one way only: a size-1 operand against any tensor,
   or an operand of the same rank whose every axis equals the other's or is 1
   (a (1, C, 1, 1) bias, a (B, 1, H, W) gate); the result has the larger shape
 - tensors are immutable once created except for gradient accumulation,
-  which is confined to a single backward pass
+  which is confined to a single backward pass, and the optimizer's
+  in-place parameter update (``train.Adam.step``), which runs after it
 
 The engine is eager: every operation on a gradient-requiring tensor records
 its backward closure immediately. There is no graph optimization.
@@ -481,12 +484,83 @@ def interleave2(a, b, c, d) -> Tensor:
 _COL_BAND_BYTES = 1 << 20
 
 
+def _pad(a, ph, pw):
+    """Zero-pad rows by ph and columns by pw on each side; far cheaper
+    than np.pad on the attention convs' small arrays."""
+    if not ph and not pw:
+        return a
+    bn, c, h, w = a.shape
+    out = np.zeros((bn, c, h + 2 * ph, w + 2 * pw))
+    out[:, :, ph:ph + h, pw:pw + w] = a
+    return out
+
+
+def _gather(windows, k, g=None, correlate=True):
+    """The products of a channel-major im2col of the (B, C, Ho, Wo, kh, kw)
+    ``windows`` of a padded input under the (C', C, kh, kw) kernel ``k``,
+    built one band of output rows at a time. Returns ``(y, dk)``: ``y`` is
+    the (C', B, Ho, Wo) cross-correlation, ``kmat @ col`` per band (None
+    unless ``correlate``); ``dk`` is the gradient with respect to ``k`` of
+    a result whose gradient is the (C', B, Ho, Wo) array ``g``, the sum of
+    ``gmat @ col.T`` over the bands (None without ``g``). Asking for both
+    builds each band once."""
+    bn, c, ho, wo, kh, kw = windows.shape
+    cp = k.shape[0]
+    rows = max(1, _COL_BAND_BYTES // (c * kh * kw * bn * wo * windows.itemsize))
+    kmat = k.reshape(cp, c * kh * kw)
+    y = np.empty((cp, bn, ho, wo)) if correlate else None
+    dk = 0 if g is not None else None
+    for y0 in range(0, ho, rows):
+        # channel-major im2col of output rows y0:y0 + rows: row (c, i, j)
+        # holds tap (i, j) of channel c at each of those output pixels,
+        # columns ordered (b, y, x). Each run the copy writes is a
+        # contiguous output row, not a scattered C*kh*kw gather.
+        col = np.ascontiguousarray(
+            windows[:, :, y0:y0 + rows].transpose(1, 4, 5, 0, 2, 3)) \
+            .reshape(c * kh * kw, -1)
+        if correlate:
+            y[:, :, y0:y0 + rows] = (kmat @ col).reshape(cp, bn, -1, wo)
+        if g is not None:
+            dk = dk + g[:, :, y0:y0 + rows].reshape(cp, -1) @ col.T
+        # freed before the next band is built, which then reuses its pages
+        del col
+    return y, None if g is None else dk.reshape(k.shape)
+
+
+def _scatter(g, k, stride, size):
+    """The adjoint of ``_gather``'s correlation: spread the (C', B, Ho, Wo)
+    array ``g`` back through the (C', C, kh, kw) kernel ``k`` into a
+    (C, B) + ``size`` array, one tap at a time. The (C, B*Ho*Wo) product
+    of tap (i, j) lands on every input pixel under that tap, so no call
+    forms the im2col-sized ``kmat.T @ gmat``."""
+    cp, c, kh, kw = k.shape
+    _, bn, ho, wo = g.shape
+    gmat = g.reshape(cp, bn * ho * wo)
+    out = np.zeros((c, bn) + tuple(size))
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                (k[:, :, i, j].T @ gmat).reshape(c, bn, ho, wo)
+    return out
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation of a (B, Cin, H, W) input with a
     (Cout, Cin, kh, kw) kernel; zero padding.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 and
     analogously for width.
+
+    Each product runs on the conv's narrower side. A stride-1 conv is the
+    transpose of the Cout -> Cin conv whose kernel is flipped in space and
+    has its in and out channels swapped, ``kt``, padded by
+    ``q = kh - 1 - padding`` (and likewise for width). So when Cout < Cin
+    (and padding < kh, kw) the forward spreads ``x`` through ``kt`` tap by
+    tap and crops at ``q``; ``dx`` correlates the gradient, padded by
+    ``q``, with ``kt``; and ``dW`` is that correlation's kernel gradient
+    with ``x`` in the gradient's place, flipped and transposed back. Every
+    im2col then has Cout*kh*kw rows, not Cin*kh*kw. Any other conv builds
+    the im2col of ``x``.
     """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -501,53 +575,43 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError("stride must be >= 1 and padding >= 0")
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError("input smaller than kernel after padding")
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kd = kernel.data
+
+    if stride == 1 and cout < cin and padding < kh and padding < kw:
+        kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        qh, qw = kh - 1 - padding, kw - 1 - padding
+        xc = x.data.transpose(1, 0, 2, 3)
+        out = _scatter(xc, kt, 1, (h + kh - 1, w + kw - 1))
+        # the output's Ho = H + 2*padding - kh + 1 rows start at row qh
+        data = out[:, :, qh:h + padding, qw:w + padding].transpose(1, 0, 2, 3)
+
+        def bwd(g):
+            gw = np.lib.stride_tricks.sliding_window_view(
+                _pad(g, qh, qw), (kh, kw), axis=(2, 3))
+            gx, dkt = _gather(gw, kt, g=xc if kernel.requires_grad else None,
+                              correlate=x.requires_grad)
+            if dkt is not None:
+                kernel._accum(dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            if gx is not None:
+                x._accum(gx.transpose(1, 0, 2, 3))
+
+        return _make(data, (x, kernel), bwd)
+
+    xp = _pad(x.data, padding, padding)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
-    ho, wo = windows.shape[2], windows.shape[3]
-    kd = kernel.data
-    kmat = kd.reshape(cout, cin * kh * kw)
-    rows = max(1, _COL_BAND_BYTES // (cin * kh * kw * bn * wo * xp.itemsize))
-    bands = range(0, ho, rows)
-
-    def col(y0):
-        # channel-major im2col of output rows y0:y0 + rows: row (c, i, j)
-        # holds tap (i, j) of channel c at each of those output pixels,
-        # columns ordered (b, y, x). Each run the copy writes is a
-        # contiguous output row, not a scattered Cin*kh*kw gather.
-        return np.ascontiguousarray(
-            windows[:, :, y0:y0 + rows].transpose(1, 4, 5, 0, 2, 3)) \
-            .reshape(cin * kh * kw, -1)
-
     # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
-    out = np.empty((cout, bn, ho, wo))
-    for y0 in bands:
-        out[:, :, y0:y0 + rows] = \
-            (kmat @ col(y0)).reshape(cout, bn, -1, wo)
-    data = out.transpose(1, 0, 2, 3)
+    data = _gather(windows, kd)[0].transpose(1, 0, 2, 3)
 
     def bwd(g):
         gt = g.transpose(1, 0, 2, 3)
         if kernel.requires_grad:
-            # built again, not kept from the forward, so that no call
-            # holds the whole matrix either
-            dw = sum(gt[:, :, y0:y0 + rows].reshape(cout, -1) @ col(y0).T
-                     for y0 in bands)
-            kernel._accum(dw.reshape(cout, cin, kh, kw))
+            # the bands are built again, not kept from the forward, so
+            # that no call holds the whole matrix either
+            kernel._accum(_gather(windows, kd, g=gt, correlate=False)[1])
         if x.requires_grad:
-            # built tap by tap: the (Cin, B*Ho*Wo) product for tap (i, j)
-            # is the gradient of every input pixel under that tap, so no
-            # call forms the im2col-sized kmat.T @ gmat. gx is laid out
-            # (Cin, B, Hp, Wp), as the products come out.
-            gmat = gt.reshape(cout, bn * ho * wo)
-            gx = np.zeros((cin, bn) + xp.shape[2:])
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i:i + stride * ho:stride,
-                       j:j + stride * wo:stride] += \
-                        (kd[:, :, i, j].T @ gmat).reshape(cin, bn, ho, wo)
+            # gx is laid out (Cin, B, Hp, Wp), as the products come out
+            gx = _scatter(gt, kd, stride, xp.shape[2:])
             x._accum(gx.transpose(1, 0, 2, 3)
                      [:, :, padding:padding + h, padding:padding + w])
 

@@ -92,7 +92,13 @@ def augment(pair: HazePair, rng: np.random.Generator,
 
 
 class Adam:
-    """Standard bias-corrected Adam over a named parameter dict."""
+    """Standard bias-corrected Adam over a named parameter dict.
+
+    The moments and the parameters are updated in place, with the
+    elementwise order of the textbook update, so the result is
+    bit-identical to it. Its intermediates go to two scratch arrays the
+    size of the largest parameter, allocated once.
+    """
 
     def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999),
                  eps: float = 1e-8):
@@ -102,21 +108,40 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        n = max((p.size for p in params.values()), default=0)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self, lr: float) -> None:
+        """One update from the parameters' ``.grad``.
+
+        Call it after the backward that produced those gradients, as
+        ``train_gan`` does: the parameters change in place, so a graph
+        recorded before the step and swept after it would read the new
+        values.
+        """
         self.step_count += 1
         t = self.step_count
+        b1, b2 = self.b1, self.b2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in {name!r}")
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / (1 - self.b1 ** t)
-            vhat = self.v[name] / (1 - self.b2 ** t)
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
+            # m = b1*m + (1-b1)*g
+            np.multiply(m, b1, out=m)
+            np.add(m, np.multiply(g, 1 - b1, out=a), out=m)
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(v, b2, out=v)
+            np.multiply(np.multiply(g, 1 - b2, out=a), g, out=a)
+            np.add(v, a, out=v)
+            # p = p - lr*mhat / (sqrt(vhat) + eps)
+            np.multiply(np.divide(m, 1 - b1 ** t, out=a), lr, out=a)
+            np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=b), out=b),
+                   self.eps, out=b)
+            np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -6,7 +6,8 @@ import pytest
 
 from dwgan.cli import main
 from dwgan.datatool import read_image, write_image
-from dwgan.model import Generator, ModelConfig, save_checkpoint
+from dwgan.model import (Discriminator, Generator, ModelConfig,
+                         load_checkpoint, save_checkpoint)
 
 
 def dir_bytes(path):
@@ -186,6 +187,24 @@ class TestTrainDehaze:
                          "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"'{key}'" in err
+
+    def test_dehaze_skips_discriminator(self, tmp_path):
+        # dehaze runs the generator alone, so a corrupt discriminator file
+        # does not stop it; the full loader still reads and rejects it
+        cfg = ModelConfig(base_channels=4, depth=1)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(cfg, seed=0), Discriminator(cfg, seed=1))
+        disc_files = sorted((ckpt / "disc_params").glob("*.bin"))
+        assert disc_files
+        disc_files[0].write_bytes(b"not a tensor")
+        with pytest.raises(ValueError):
+            load_checkpoint(ckpt)
+        img = tmp_path / "a.ppm"
+        write_image(img, np.zeros((3, 32, 32)) + 0.5)
+        out = tmp_path / "o"
+        assert main(["dehaze", str(img), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        assert (out / "a.ppm").exists()
 
 
 class TestAblate:

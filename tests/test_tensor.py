@@ -81,23 +81,28 @@ def conv_reference(x, k, g, stride, padding):
 
 class TestConv2dReference:
     """conv2d against the per-pixel loop at batch 2, Cin != Cout and a
-    non-square input, for every kernel kind the model and metrics run."""
+    non-square input, for every kernel kind the model and metrics run.
+
+    With Cin 3 and Cout 2 the stride-1 kinds run as the transpose of a
+    Cout -> Cin conv; with Cout 4 (the ``wide`` tests) every kind builds
+    the im2col of the input."""
 
     KINDS = pytest.mark.parametrize("kh, kw, stride, padding", [
         (7, 7, 1, 3), (3, 3, 1, 1), (3, 3, 2, 1), (4, 4, 2, 1), (1, 1, 1, 0),
         (11, 1, 1, 0), (1, 11, 1, 0),
     ], ids=["k7s1", "k3s1", "k3s2", "k4s2", "k1s1", "k11x1", "k1x11"])
     LAYOUTS = pytest.mark.parametrize("layout", ["c_order", "transposed"])
+    ROWS = pytest.mark.parametrize("rows", [1, 5])
 
     @staticmethod
-    def check(kh, kw, stride, padding, layout):
+    def check(kh, kw, stride, padding, layout, cout):
         xd = rand((2, 3, 12, 14), seed=20)
         if layout == "transposed":
             # laid out as a conv output is: channels outermost in memory
             xd = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)) \
                 .transpose(1, 0, 2, 3)
             assert not xd.flags.c_contiguous
-        kd = rand((2, 3, kh, kw), seed=21)
+        kd = rand((cout, 3, kh, kw), seed=21)
         x = Tensor(xd, requires_grad=True)
         k = Tensor(kd, requires_grad=True)
         y = conv2d(x, k, stride=stride, padding=padding)
@@ -108,37 +113,59 @@ class TestConv2dReference:
         for got, want in ((y.data, out), (k.grad, dk), (x.grad, dx)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def shrink_bands(monkeypatch, rows, kh, kw, stride, padding, cout):
+        # shrink the band so the 12-row im2col takes several: one row each,
+        # or five rows each with a shorter last band. A transposed conv
+        # builds it from the gradient (Cout rows per tap, 14 columns),
+        # any other from the input (3 rows per tap, Wo columns).
+        if stride == 1 and cout < 3:
+            row_bytes = cout * kh * kw * 2 * 14 * 8
+        else:
+            row_bytes = 3 * kh * kw * 2 * ((14 + 2 * padding - kw) // stride + 1) * 8
+        monkeypatch.setattr(tensor, "_COL_BAND_BYTES", rows * row_bytes)
+
     @KINDS
     @LAYOUTS
     def test_matches_loop(self, kh, kw, stride, padding, layout):
-        self.check(kh, kw, stride, padding, layout)
+        self.check(kh, kw, stride, padding, layout, cout=2)
 
     @KINDS
     @LAYOUTS
-    @pytest.mark.parametrize("rows", [1, 5])
+    @ROWS
     def test_bands_match_loop(self, kh, kw, stride, padding, layout, rows,
                               monkeypatch):
-        # shrink the band so the 12-row input takes several: one row each,
-        # or five rows each with a shorter last band
-        wo = (14 + 2 * padding - kw) // stride + 1
-        monkeypatch.setattr(tensor, "_COL_BAND_BYTES",
-                            rows * 3 * kh * kw * 2 * wo * 8)
-        self.check(kh, kw, stride, padding, layout)
+        self.shrink_bands(monkeypatch, rows, kh, kw, stride, padding, cout=2)
+        self.check(kh, kw, stride, padding, layout, cout=2)
+
+    @KINDS
+    @LAYOUTS
+    def test_wide_matches_loop(self, kh, kw, stride, padding, layout):
+        self.check(kh, kw, stride, padding, layout, cout=4)
+
+    @KINDS
+    @LAYOUTS
+    @ROWS
+    def test_wide_bands_match_loop(self, kh, kw, stride, padding, layout,
+                                   rows, monkeypatch):
+        self.shrink_bands(monkeypatch, rows, kh, kw, stride, padding, cout=4)
+        self.check(kh, kw, stride, padding, layout, cout=4)
 
 
 class TestConv2dBackwardMemory:
-    """The backward's working memory is a few copies of the input, not an
-    im2col-sized matrix kh*kw times larger (1 MB input, so a 5 MB bound)."""
+    """A conv's working memory, forward and backward, is a few copies of
+    the input, not an im2col-sized matrix kh*kw times larger (1 MB input,
+    so a 5 MB bound). Both cases narrow the channels, so they run as the
+    transpose of a Cout -> Cin conv."""
 
     @pytest.mark.parametrize("cout, k, padding", [(3, 7, 3), (16, 3, 1)],
                              ids=["fusion_k7", "k3"])
     def test_peak_bounded_by_input(self, cout, k, padding):
         x = Tensor(rand((4, 32, 32, 32), seed=40), requires_grad=True)
         w = Tensor(rand((cout, 32, k, k), seed=41), requires_grad=True)
-        loss = conv2d(x, w, padding=padding).sum()
         tracemalloc.start()
         try:
-            loss.backward()
+            conv2d(x, w, padding=padding).sum().backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -117,6 +117,37 @@ class TestAdam:
             opt.step(lr=0.01)
         assert p.data[0] == pytest.approx(-0.1, rel=1e-4)
 
+    def test_in_place_matches_textbook_bits(self):
+        # the in-place update keeps the textbook's elementwise order, so
+        # parameters and moments match it bit for bit, for every rank and
+        # across gradient scales and learning rates
+        rng = np.random.default_rng(3)
+        shapes = {"w": (4, 3, 3, 3), "b": (1, 4, 1, 1), "v": (5,), "s": ()}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        arrays = {k: p.data for k, p in params.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(params)
+        b1, b2, eps = opt.b1, opt.b2, opt.eps
+        for t in range(1, 13):
+            lr = 1e-3 * 0.5 ** (t // 4)
+            for k, p in params.items():
+                p.grad = rng.normal(size=shapes[k]) * 10.0 ** (t % 5 - 3)
+            opt.step(lr)
+            for k, p in params.items():
+                g = p.grad
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                mhat = m[k] / (1 - b1 ** t)
+                vhat = v[k] / (1 - b2 ** t)
+                ref[k] = ref[k] - lr * mhat / (np.sqrt(vhat) + eps)
+                assert p.data.tobytes() == ref[k].tobytes(), (t, k)
+                assert opt.m[k].tobytes() == m[k].tobytes()
+                assert opt.v[k].tobytes() == v[k].tobytes()
+                assert p.data is arrays[k]
+
 
 class TestTrainGan:
     def test_empty_dataset_rejected(self):
