@@ -16,6 +16,14 @@ Conventions, fixed once and used everywhere:
 The engine is eager: every operation on a gradient-requiring tensor records
 its backward closure immediately. There is no graph optimization.
 
+The graph holds no forward data. A tensor that requires a gradient carries
+a small ``_Node``: its gradient, its parents' nodes and its closure. A
+closure keeps only the arrays its backward reads (relu's mask, the other
+operand of a ``mul``, a conv's input windows and kernel; only shapes for
+``add``, ``reshape``, ``concat`` and the like) and returns one gradient per
+parent, None where that parent needs none. So an intermediate's array is
+freed as soon as the model code drops the tensor, unless a closure kept it.
+
 Inside a ``with no_grad():`` block nothing is recorded: every result has
 requires_grad False, no parents and no backward closure, so nothing keeps
 an op's intermediates (a conv's padded input) alive after it returns.
@@ -24,10 +32,10 @@ the previous state on exit, also when it raises, and blocks nest.
 
 ``backward()`` releases the graph as it sweeps it: once a node's closure
 has run, the node drops its parents, its gradient and the closure (and with
-it whatever the closure kept alive, a conv's padded input), so one step's
-graph does not outlive its backward. Leaves, the tensors with no closure
-(parameters and inputs), keep their ``.grad``. A later backward that reaches
-a released node raises RuntimeError instead of adding a partial gradient.
+it whatever the closure kept alive), so one step's graph does not outlive
+its backward. Leaves, the tensors with no closure (parameters and inputs),
+keep their ``.grad``. A later backward that reaches a released node raises
+RuntimeError instead of adding a partial gradient.
 """
 
 from __future__ import annotations
@@ -45,23 +53,34 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
+class _Node:
+    """A recorded tensor's place in the graph: its gradient, its parents'
+    nodes (None for a parent that needs no gradient) and its backward
+    closure (None for a leaf). It holds no forward data."""
+
+    __slots__ = ("grad", "parents", "backward")
+
+    def __init__(self, parents=(), backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[_Node | None, ...] = parents
+        self.backward = backward
+
+
 class Tensor:
     """Dense float64 array of rank <= 4 with optional gradient tracking.
 
     Rank-4 tensors are interpreted as (batch, channel, height, width).
+    A tensor requires a gradient exactly when it has a graph node.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} > 4 not supported")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = _Node() if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
 
@@ -84,6 +103,41 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------------
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if not flag:
+            self._node = None
+        elif self._node is None:
+            self._node = _Node()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = g
+        elif g is not None:
+            raise ValueError("cannot set .grad of a tensor that does not "
+                             "require a gradient")
+
+    @property
+    def _parents(self) -> tuple[_Node | None, ...]:
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self._node.backward = fn
+
     def detach(self) -> "Tensor":
         """Same data, cut off from the graph."""
         return Tensor(self.data)
@@ -91,30 +145,28 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad = self.grad + g
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
-        Gradients accumulate additively across multiple uses of a node
-        within the sweep. The sweep releases every node whose closure it
-        runs (see the module docstring): afterwards only the leaves hold a
-        ``.grad``, and a second backward through the same graph raises
-        RuntimeError.
+        Each closure's gradients are added into its parents' nodes in
+        parent order, so a node used several times sums them. A gradient
+        is stored as it comes only when it is C-contiguous, owns its memory
+        and is not the gradient the closure was given; anything else is
+        copied, so no two nodes share a gradient array. The sweep releases
+        every node whose closure it runs (see the module docstring):
+        afterwards only the leaves hold a ``.grad``, and a second backward
+        through the same graph raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar root, got size {self.data.size}"
             )
-        topo: list[Tensor] = []
+        root = self._node
+        if root is None:
+            return
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -124,20 +176,30 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        # popped, so a node's data goes as soon as its consumers are released
+        root.grad = np.ones_like(self.data)
+        # popped, so a closure's arrays go as soon as it has run
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node._parents = ()
+            g = node.grad
+            if g is not None:
+                for p, gp in zip(node.parents, node.backward(g)):
+                    if p is None or gp is None:
+                        continue
+                    if p.grad is not None:
+                        p.grad = p.grad + gp
+                    elif (gp is g or not gp.flags.c_contiguous
+                          or not gp.flags.owndata):
+                        p.grad = gp.copy()
+                    else:
+                        p.grad = gp
+            node.parents = ()
             node.grad = None
-            node._backward = _released
+            node.backward = _released
 
     # -- operator sugar ------------------------------------------------------
 
@@ -219,12 +281,13 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
-          backward: Callable[[np.ndarray], None]) -> Tensor:
+          backward: Callable[[np.ndarray], Sequence]) -> Tensor:
+    """Wrap an op's result; when recording and some parent requires a
+    gradient, give it a node whose closure maps the result's gradient to
+    one gradient (or None) per parent."""
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _recording and any(p._node is not None for p in parents):
+        out._node = _Node(tuple(p._node for p in parents), backward)
     return out
 
 
@@ -260,14 +323,20 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # -- pointwise ops -----------------------------------------------------------
+#
+# Each closure captures the arrays its backward reads and returns one
+# gradient per parent. An operand's array is kept only when the other
+# operand's gradient needs it.
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = np.add(a.data, b.data, order=_broadcast_order(a, b))
+    sa, sb = a.shape, b.shape
+    na, nb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        a._accum(_reduce_to(g, a.shape))
-        b._accum(_reduce_to(g, b.shape))
+        return (_reduce_to(g, sa) if na else None,
+                _reduce_to(g, sb) if nb else None)
 
     return _make(data, (a, b), bwd)
 
@@ -275,10 +344,13 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = np.multiply(a.data, b.data, order=_broadcast_order(a, b))
+    sa, sb = a.shape, b.shape
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        a._accum(_reduce_to(g * b.data, a.shape))
-        b._accum(_reduce_to(g * a.data, b.shape))
+        return (None if bd is None else _reduce_to(g * bd, sa),
+                None if ad is None else _reduce_to(g * ad, sb))
 
     return _make(data, (a, b), bwd)
 
@@ -286,10 +358,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = np.divide(a.data, b.data, order=_broadcast_order(a, b))
+    sa, sb = a.shape, b.shape
+    na = a.requires_grad
+    ad = a.data if b.requires_grad else None
+    bd = b.data
 
     def bwd(g):
-        a._accum(_reduce_to(g / b.data, a.shape))
-        b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.shape))
+        return (_reduce_to(g / bd, sa) if na else None,
+                None if ad is None else _reduce_to(-g * ad / (bd * bd), sb))
 
     return _make(data, (a, b), bwd)
 
@@ -299,12 +375,12 @@ def power(a, p: float) -> Tensor:
     p is non-integral."""
     a = _coerce(a)
     p = float(p)
-    data = a.data ** p
+    ad = a.data
 
     def bwd(g):
-        a._accum(g * p * a.data ** (p - 1.0))
+        return (g * p * ad ** (p - 1.0),)
 
-    return _make(data, (a,), bwd)
+    return _make(ad ** p, (a,), bwd)
 
 
 def relu(a) -> Tensor:
@@ -312,7 +388,7 @@ def relu(a) -> Tensor:
     mask = a.data > 0
 
     def bwd(g):
-        a._accum(g * mask)
+        return (g * mask,)
 
     return _make(a.data * mask, (a,), bwd)
 
@@ -322,7 +398,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     fac = np.where(a.data > 0, 1.0, slope)
 
     def bwd(g):
-        a._accum(g * fac)
+        return (g * fac,)
 
     return _make(a.data * fac, (a,), bwd)
 
@@ -332,18 +408,19 @@ def sigmoid(a) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
 
     def bwd(g):
-        a._accum(g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return _make(s, (a,), bwd)
 
 
 def log(a) -> Tensor:
     a = _coerce(a)
+    ad = a.data
 
     def bwd(g):
-        a._accum(g / a.data)
+        return (g / ad,)
 
-    return _make(np.log(a.data), (a,), bwd)
+    return _make(np.log(ad), (a,), bwd)
 
 
 def absval(a) -> Tensor:
@@ -351,7 +428,7 @@ def absval(a) -> Tensor:
     s = np.sign(a.data)
 
     def bwd(g):
-        a._accum(g * s)
+        return (g * s,)
 
     return _make(np.abs(a.data), (a,), bwd)
 
@@ -362,7 +439,7 @@ def clip_min(a, lo: float) -> Tensor:
     mask = a.data > lo
 
     def bwd(g):
-        a._accum(g * mask)
+        return (g * mask,)
 
     return _make(np.maximum(a.data, lo), (a,), bwd)
 
@@ -371,19 +448,20 @@ def clip_min(a, lo: float) -> Tensor:
 
 def tsum(a) -> Tensor:
     a = _coerce(a)
+    shape = a.shape
 
     def bwd(g):
-        a._accum(np.full_like(a.data, float(g.reshape(()))))
+        return (np.full(shape, float(g.reshape(()))),)
 
     return _make(np.asarray(a.data.sum()), (a,), bwd)
 
 
 def tmean(a) -> Tensor:
     a = _coerce(a)
-    n = a.data.size
+    shape, n = a.shape, a.data.size
 
     def bwd(g):
-        a._accum(np.full_like(a.data, float(g.reshape(())) / n))
+        return (np.full(shape, float(g.reshape(())) / n),)
 
     return _make(np.asarray(a.data.mean()), (a,), bwd)
 
@@ -393,11 +471,12 @@ def spatial_mean(a) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 4:
         raise ShapeError("spatial_mean expects rank 4")
-    _, _, h, w = a.shape
+    shape = a.shape
+    _, _, h, w = shape
     data = a.data.mean(axis=(2, 3), keepdims=True)
 
     def bwd(g):
-        a._accum(np.broadcast_to(g / (h * w), a.shape))
+        return (np.broadcast_to(g / (h * w), shape),)
 
     return _make(data, (a,), bwd)
 
@@ -410,7 +489,7 @@ def reshape(a, shape) -> Tensor:
     old = a.shape
 
     def bwd(g):
-        a._accum(g.reshape(old))
+        return (g.reshape(old),)
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -428,12 +507,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def bwd(g):
-        off = 0
-        for t, s in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
+        sl = [slice(None)] * g.ndim
+        out, off = [], 0
+        for s in sizes:
             sl[axis] = slice(off, off + s)
-            t._accum(g[tuple(sl)])
+            out.append(g[tuple(sl)])
             off += s
+        return out
 
     return _make(data, tuple(tensors), bwd)
 
@@ -443,12 +523,13 @@ def subsample2(a, oi: int, oj: int) -> Tensor:
     a = _coerce(a)
     if a.data.ndim != 4:
         raise ShapeError("subsample2 expects rank 4")
+    shape = a.shape
     data = a.data[:, :, oi::2, oj::2].copy()
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[:, :, oi::2, oj::2] = g
-        a._accum(full)
+        return (full,)
 
     return _make(data, (a,), bwd)
 
@@ -469,10 +550,8 @@ def interleave2(a, b, c, d) -> Tensor:
     data[:, :, 1::2, 1::2] = d.data
 
     def bwd(g):
-        a._accum(g[:, :, 0::2, 0::2])
-        b._accum(g[:, :, 0::2, 1::2])
-        c._accum(g[:, :, 1::2, 0::2])
-        d._accum(g[:, :, 1::2, 1::2])
+        return (g[:, :, 0::2, 0::2], g[:, :, 0::2, 1::2],
+                g[:, :, 1::2, 0::2], g[:, :, 1::2, 1::2])
 
     return _make(data, (a, b, c, d), bwd)
 
@@ -576,6 +655,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError("input smaller than kernel after padding")
     kd = kernel.data
+    # what the backward reads: the kernel for dx, the input for dW
+    nx, nk = x.requires_grad, kernel.requires_grad
 
     if stride == 1 and cout < cin and padding < kh and padding < kw:
         kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -584,16 +665,15 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         out = _scatter(xc, kt, 1, (h + kh - 1, w + kw - 1))
         # the output's Ho = H + 2*padding - kh + 1 rows start at row qh
         data = out[:, :, qh:h + padding, qw:w + padding].transpose(1, 0, 2, 3)
+        xc = xc if nk else None
 
         def bwd(g):
             gw = np.lib.stride_tricks.sliding_window_view(
                 _pad(g, qh, qw), (kh, kw), axis=(2, 3))
-            gx, dkt = _gather(gw, kt, g=xc if kernel.requires_grad else None,
-                              correlate=x.requires_grad)
-            if dkt is not None:
-                kernel._accum(dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-            if gx is not None:
-                x._accum(gx.transpose(1, 0, 2, 3))
+            gx, dkt = _gather(gw, kt, g=xc, correlate=nx)
+            return (None if gx is None else gx.transpose(1, 0, 2, 3),
+                    None if dkt is None
+                    else dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
         return _make(data, (x, kernel), bwd)
 
@@ -602,18 +682,20 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     windows = windows[:, :, ::stride, ::stride]
     # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
     data = _gather(windows, kd)[0].transpose(1, 0, 2, 3)
+    hp, wp = xp.shape[2:]
+    windows = windows if nk else None
 
     def bwd(g):
         gt = g.transpose(1, 0, 2, 3)
-        if kernel.requires_grad:
-            # the bands are built again, not kept from the forward, so
-            # that no call holds the whole matrix either
-            kernel._accum(_gather(windows, kd, g=gt, correlate=False)[1])
-        if x.requires_grad:
-            # gx is laid out (Cin, B, Hp, Wp), as the products come out
-            gx = _scatter(gt, kd, stride, xp.shape[2:])
-            x._accum(gx.transpose(1, 0, 2, 3)
-                     [:, :, padding:padding + h, padding:padding + w])
+        # the bands are built again, not kept from the forward, so that no
+        # call holds the whole matrix either
+        dk = _gather(windows, kd, g=gt, correlate=False)[1] if nk else None
+        if not nx:
+            return None, dk
+        # gx is laid out (Cin, B, Hp, Wp), as the products come out
+        gx = _scatter(gt, kd, stride, (hp, wp))
+        return (gx.transpose(1, 0, 2, 3)
+                [:, :, padding:padding + h, padding:padding + w], dk)
 
     return _make(data, (x, kernel), bwd)
 
@@ -638,9 +720,9 @@ def pixel_shuffle(x, r: int) -> Tensor:
             .reshape(bn, co, h * r, w * r))
 
     def bwd(g):
-        x._accum(g.reshape(bn, co, h, r, w, r)
-                 .transpose(0, 1, 3, 5, 2, 4)
-                 .reshape(bn, c, h, w))
+        return (g.reshape(bn, co, h, r, w, r)
+                .transpose(0, 1, 3, 5, 2, 4)
+                .reshape(bn, c, h, w),)
 
     return _make(data, (x,), bwd)
 
@@ -656,7 +738,7 @@ def avg_pool2(x) -> Tensor:
     data = x.data.reshape(bn, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
 
     def bwd(g):
-        x._accum(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0)
+        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)
 
     return _make(data, (x,), bwd)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from dwgan.model import Generator, ModelConfig
 from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
                           concat, conv2d, div, grad_check, interleave2,
                           load_tensor, mul, no_grad, pixel_shuffle, relu,
-                          save_tensor, sigmoid, spatial_mean, subsample2)
+                          reshape, save_tensor, sigmoid, spatial_mean,
+                          subsample2)
 
 
 def rand(shape, seed=0):
@@ -321,6 +323,78 @@ class TestBackward:
             with pytest.raises(RuntimeError, match="released"):
                 again()
         np.testing.assert_array_equal(x.grad, first)
+
+    @pytest.mark.parametrize("cout", [5, 2], ids=["im2col", "transposed"])
+    def test_pre_bias_conv_output_freed_before_backward(self, cout):
+        # no closure reads a conv's output or the bias add's input, so the
+        # array goes with the last reference the caller drops, while the
+        # graph that produced it is still alive
+        def grads(drop):
+            x = Tensor(rand((2, 3, 6, 6), seed=37), requires_grad=True)
+            k = Tensor(rand((cout, 3, 3, 3), seed=38), requires_grad=True)
+            b = Tensor(rand((1, cout, 1, 1), seed=39), requires_grad=True)
+            y = conv2d(x, k, padding=1)
+            refs = [weakref.ref(y.data), weakref.ref(y.data.base)]
+            loss = relu(y + b).mean()
+            if drop:
+                del y
+                assert all(r() is None for r in refs)
+            loss.backward()
+            return x.grad, k.grad, b.grad
+
+        for got, want in zip(grads(True), grads(False)):
+            assert got is not None and np.any(got)
+            np.testing.assert_array_equal(got, want)
+
+    def test_leaf_grads_share_no_memory(self):
+        # add hands both parents the gradient it was given; reshape, concat
+        # and interleave2 hand back views of it
+        a, b, c, d, e, f = (Tensor(rand(s, seed=40 + i), requires_grad=True)
+                            for i, s in enumerate([(1, 2, 3, 3)] * 4
+                                                  + [(1, 1, 3, 3)] * 2))
+        out = interleave2(add(a, b), reshape(reshape(c, (2, 9)), c.shape),
+                          d, concat([e, f], axis=1))
+        (out * 3.0).sum().backward()
+        leaves = (a, b, c, d, e, f)
+        for t in leaves:
+            np.testing.assert_array_equal(t.grad, np.full(t.shape, 3.0))
+        for i, s in enumerate(leaves):
+            for t in leaves[i + 1:]:
+                assert not np.shares_memory(s.grad, t.grad)
+
+    def test_wrapped_make_is_what_backward_calls(self, monkeypatch):
+        # an op profiler wraps _make from outside and swaps each node's
+        # closure for a wrapper that calls the original; backward must run
+        # the wrapper, and pass on what it returns
+        def run():
+            x = Tensor(rand((1, 2, 6, 6), seed=46), requires_grad=True)
+            k = Tensor(rand((3, 2, 3, 3), seed=47), requires_grad=True)
+            y = conv2d(x, k, padding=1)
+            relu(y * x.sum()).mean().backward()
+            return x.grad, k.grad
+
+        want = run()
+        called = []
+        make = tensor._make
+
+        def traced_make(*args, **kwargs):
+            out = make(*args, **kwargs)
+            if out._backward is not None:
+                fn = out._backward
+
+                def traced(g):
+                    called.append(fn)
+                    return fn(g)
+
+                out._backward = traced
+                assert out._backward is traced
+            return out
+
+        monkeypatch.setattr(tensor, "_make", traced_make)
+        got = run()
+        assert len(called) == 5
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestNoGrad:

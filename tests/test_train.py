@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,24 @@ class TestTrainGan:
                   out_dir=tmp_path)
         assert (tmp_path / "step_000005").is_dir()
         assert (tmp_path / "step_000010").is_dir()
+
+    def test_gate_config_traced_peak_bounded(self):
+        # three steps at the trainability-gate config (crop 32, batch 4,
+        # base 16, depth 2). The graph keeps only what backward reads, so
+        # the peak, Adam's moments included, is about 31 MB; it was 60 MB
+        # when every graph node carried its forward data.
+        cfg = ModelConfig(base_channels=16, depth=2)
+        gen, disc = Generator(cfg, seed=7), Discriminator(cfg, seed=8)
+        data = small_dataset(n=8, size=64, seed=7)
+        tcfg = TrainConfig(crop=32, batch=4, total_steps=3, eval_every=0,
+                           seed=7, lr0=1e-3)
+        tracemalloc.start()
+        try:
+            train_gan(gen, disc, data, tcfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6, peak
 
     def test_divergence_guard(self):
         gen = Generator(small_model_cfg(), seed=0)
