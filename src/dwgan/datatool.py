@@ -57,6 +57,8 @@ def read_image(path) -> np.ndarray:
         raise PpmParseError("non-numeric header field", pos) from None
     if maxval != 255:
         raise PpmParseError(f"unsupported maxval {maxval}, expected 255", pos)
+    if width < 1 or height < 1:
+        raise PpmParseError(f"image size {width}x{height} is not positive", pos)
     pos += 1  # single whitespace byte after maxval
     need = width * height * 3
     payload = buf[pos:pos + need]
@@ -111,6 +113,8 @@ def match_brightness(images: list[np.ndarray], target_mean: float,
     """
     if not images:
         raise ValueError("no source images")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if not 0 < target_mean < 255:
         raise ValueError("target mean must lie in (0, 255)")
     mean_hi = corrected_mean(images, hi)   # darkest achievable
@@ -121,9 +125,6 @@ def match_brightness(images: list[np.ndarray], target_mean: float,
             f"[{mean_hi:.2f}, {mean_lo:.2f}] for gamma in [{lo}, {hi}]"
         )
     g_lo, g_hi = lo, hi
-    gamma = (g_lo + g_hi) / 2
-    mean = corrected_mean(images, gamma)
-    it = 0
     for it in range(1, max_iter + 1):
         gamma = (g_lo + g_hi) / 2
         mean = corrected_mean(images, gamma)

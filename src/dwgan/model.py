@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import ToyEncoder
-from .tensor import (ShapeError, Tensor, concat, conv2d, leaky_relu,
+from .tensor import (Channels, ShapeError, Tensor, conv2d, leaky_relu,
                      pixel_shuffle, relu, save_tensor, sigmoid, spatial_mean,
                      load_tensor)
 from .wavelet import Subbands, dwt2, idwt2
@@ -48,6 +48,10 @@ class ModelConfig:
             raise ValueError("base_channels must be >= 4")
         if not (self.use_dwt_branch or self.use_ka_branch):
             raise ValueError("at least one branch must be enabled")
+        if self.attention_reduction < 1:
+            raise ValueError("attention_reduction must be >= 1")
+        if min(self.encoder_channels, default=1) < 1:
+            raise ValueError("encoder_channels must all be >= 1")
 
 
 class Module:
@@ -96,7 +100,9 @@ class Conv(Module):
         self.weight = Tensor(_kaiming(rng, cout, cin, k, k), requires_grad=True)
         self.bias = Tensor(np.zeros((1, cout, 1, 1)), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, *xs: Tensor) -> Tensor:
+        """The conv of the join of ``xs`` along the channels."""
+        x = xs[0] if len(xs) == 1 else Channels(xs)
         y = conv2d(x, self.weight, stride=self.stride, padding=self.padding)
         if self.bias is not None:
             y = y + self.bias
@@ -131,8 +137,8 @@ class PixelAttention(Module):
 
 
 class DwtDown(Module):
-    """Half-resolution block: concat(strided conv, LL band) -> mixing conv.
-    Also emits the (LH, HL, HH) bands for the matching up block."""
+    """Half-resolution block: a mixing conv over (strided conv, LL band)
+    joined on channels; also emits (LH, HL, HH) for the up block."""
 
     def __init__(self, rng, cin: int, cout: int):
         self.down = Conv(rng, cin, cout, k=3, stride=2, padding=1)
@@ -140,7 +146,7 @@ class DwtDown(Module):
 
     def __call__(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor]]:
         s = dwt2(x)
-        y = relu(self.mix(concat([self.down(x), s.ll], axis=1)))
+        y = relu(self.mix(self.down(x), s.ll))
         return y, (s.lh, s.hl, s.hh)
 
 
@@ -162,20 +168,13 @@ class DwtUp(Module):
         self.proj = Conv(rng, cin, c_hf, k=1)
         self.up = Conv(rng, cin, cout * 4, k=3)
         self.mix = Conv(rng, c_hf + cout, cout, k=3)
-        self.c_hf = c_hf
 
     def __call__(self, x: Tensor,
                  hf: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-        lh, hl, hh = hf
-        if lh.shape[2:] != x.shape[2:]:
-            raise ShapeError(
-                f"hf spatial {lh.shape[2:]} != input spatial {x.shape[2:]}"
-            )
-        if lh.shape[1] != self.c_hf:
-            raise ShapeError(f"hf channels {lh.shape[1]} != {self.c_hf}")
-        freq = idwt2(Subbands(ll=self.proj(x), lh=lh, hl=hl, hh=hh))
+        # Subbands raises ShapeError unless each hf band has proj(x)'s shape
+        freq = idwt2(Subbands(self.proj(x), *hf))
         learned = pixel_shuffle(self.up(x), 2)
-        return relu(self.mix(concat([freq, learned], axis=1)))
+        return relu(self.mix(freq, learned))
 
 
 class PlainUp(Module):
@@ -230,7 +229,7 @@ class DwtBranch(Module):
         for j, (up, skip) in enumerate(zip(self.ups, self.skips)):
             i = self.depth - 1 - j
             cur = up(cur, hfs[i])
-            cur = relu(skip(concat([cur, feats[i]], axis=1)))
+            cur = relu(skip(cur, feats[i]))
         return cur
 
 
@@ -277,7 +276,7 @@ class KaBranch(Module):
             skip = stages[n - 2 - j]
             cur = pixel_shuffle(up(cur), 2)
             cur = pa(ca(cur))
-            cur = relu(fuse(concat([cur, skip], axis=1)))
+            cur = relu(fuse(cur, skip))
         cur = pixel_shuffle(self.final_up(cur), 2)
         cur = self.final_pattn(self.final_cattn(cur))
         return relu(self.final_conv(cur))
@@ -288,13 +287,11 @@ class Generator(Module):
         self.cfg = cfg
         self.seed = seed
         rng = np.random.default_rng(seed)
-        n_branches = 0
         if cfg.use_dwt_branch:
             self.dwt_branch = DwtBranch(rng, cfg)
-            n_branches += 1
         if cfg.use_ka_branch:
             self.ka_branch = KaBranch(rng, cfg)
-            n_branches += 1
+        n_branches = cfg.use_dwt_branch + cfg.use_ka_branch
         self.fusion = Conv(rng, cfg.base_channels * n_branches, 3, k=7)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -303,8 +300,7 @@ class Generator(Module):
             feats.append(self.dwt_branch(x))
         if self.cfg.use_ka_branch:
             feats.append(self.ka_branch(x))
-        fused = feats[0] if len(feats) == 1 else concat(feats, axis=1)
-        return sigmoid(self.fusion(fused))
+        return sigmoid(self.fusion(*feats))
 
 
 class Discriminator(Module):
@@ -358,7 +354,10 @@ def save_checkpoint(directory, generator: Generator,
 
 def _load_params(module: Module, directory: Path) -> None:
     for name, p in module.named_parameters():
-        loaded = load_tensor(directory / f"{name}.bin")
+        path = directory / f"{name}.bin"
+        if not path.is_file():
+            raise ValueError(f"{path}: missing; the manifest's config needs it")
+        loaded = load_tensor(path)
         if loaded.shape != p.shape:
             raise ValueError(f"{name}: file shape {loaded.shape} != {p.shape}")
         p.data = loaded.data
@@ -380,6 +379,8 @@ def load_generator(directory) -> tuple[Generator, dict]:
     path = directory / "manifest.json"
     with open(path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a JSON object")
     for key in ("config", "seed"):
         if key not in manifest:
             raise ValueError(f"{path}: missing key {key!r}")

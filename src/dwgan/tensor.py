@@ -20,9 +20,12 @@ The graph holds no forward data. A tensor that requires a gradient carries
 a small ``_Node``: its gradient, its parents' nodes and its closure. A
 closure keeps only the arrays its backward reads (relu's mask, the other
 operand of a ``mul``, a conv's input windows and kernel; only shapes for
-``add``, ``reshape``, ``concat`` and the like) and returns one gradient per
-parent, None where that parent needs none. So an intermediate's array is
-freed as soon as the model code drops the tensor, unless a closure kept it.
+``add``, ``reshape`` and the like) and returns one gradient per parent,
+None where that parent needs none. So an intermediate's array is freed as
+soon as the model code drops the tensor, unless a closure kept it.
+
+No op joins tensors: a conv reads a join along the channels from its
+parts, given as a ``Channels`` (see ``conv2d``).
 
 Inside a ``with no_grad():`` block nothing is recorded: every result has
 requires_grad False, no parents and no backward closure, so nothing keeps
@@ -44,6 +47,7 @@ import contextlib
 import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,9 +146,6 @@ class Tensor:
         """Same data, cut off from the graph."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar root.
 
@@ -232,15 +233,6 @@ class Tensor:
 
     def __pow__(self, p):
         return power(self, p)
-
-    def relu(self):
-        return relu(self)
-
-    def leaky_relu(self, slope: float = 0.2):
-        return leaky_relu(self, slope)
-
-    def sigmoid(self):
-        return sigmoid(self)
 
     def abs(self):
         return absval(self)
@@ -494,30 +486,6 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bwd)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref):
-            raise ShapeError("concat rank mismatch")
-        for i, (s0, s1) in enumerate(zip(ref, t.shape)):
-            if i != axis and s0 != s1:
-                raise ShapeError(f"concat shape mismatch on axis {i}")
-    sizes = [t.shape[axis] for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        sl = [slice(None)] * g.ndim
-        out, off = [], 0
-        for s in sizes:
-            sl[axis] = slice(off, off + s)
-            out.append(g[tuple(sl)])
-            off += s
-        return out
-
-    return _make(data, tuple(tensors), bwd)
-
-
 def subsample2(a, oi: int, oj: int) -> Tensor:
     """Every second pixel of a rank-4 tensor starting at offset (oi, oj)."""
     a = _coerce(a)
@@ -556,6 +524,24 @@ def interleave2(a, b, c, d) -> Tensor:
     return _make(data, (a, b, c, d), bwd)
 
 
+class Channels(tuple):
+    """Rank-4 tensors joined along the channels as conv2d reads them, with
+    the join's (B, C_1 + C_2 + ..., H, W) ``shape``; no array holds it."""
+
+    def __new__(cls, parts):
+        parts = tuple(map(_coerce, parts))
+        if ({p.data.ndim for p in parts} != {4}
+                or len({p.shape[:1] + p.shape[2:] for p in parts}) > 1):
+            raise ShapeError(f"channel parts need rank 4 and one B, H and W, "
+                             f"got {[p.shape for p in parts]}")
+        return super().__new__(cls, parts)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        bn, _, h, w = self[0].shape
+        return bn, sum(p.shape[1] for p in self), h, w
+
+
 # conv2d builds its im2col matrix one band of output rows at a time, each
 # band about this many bytes or one row if a row is larger, so the copy
 # and the product stay in cache and no call allocates the whole matrix:
@@ -563,14 +549,18 @@ def interleave2(a, b, c, d) -> Tensor:
 _COL_BAND_BYTES = 1 << 20
 
 
-def _pad(a, ph, pw):
-    """Zero-pad rows by ph and columns by pw on each side; far cheaper
-    than np.pad on the attention convs' small arrays."""
-    if not ph and not pw:
-        return a
-    bn, c, h, w = a.shape
-    out = np.zeros((bn, c, h + 2 * ph, w + 2 * pw))
-    out[:, :, ph:ph + h, pw:pw + w] = a
+def _pad(parts, ph, pw):
+    """Join the (B, C_i, H, W) arrays ``parts`` along the channels and
+    zero-pad rows by ph and columns by pw on each side; far cheaper than
+    np.pad on the attention convs' small arrays."""
+    if len(parts) == 1 and not ph and not pw:
+        return parts[0]
+    bn, _, h, w = parts[0].shape
+    out = np.zeros((bn, sum(a.shape[1] for a in parts), h + 2 * ph, w + 2 * pw))
+    c = 0
+    for a in parts:
+        out[:, c:c + a.shape[1], ph:ph + h, pw:pw + w] = a
+        c += a.shape[1]
     return out
 
 
@@ -627,6 +617,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation of a (B, Cin, H, W) input with a
     (Cout, Cin, kh, kw) kernel; zero padding.
 
+    The input is a tensor or a ``Channels``, read as its join: each part
+    is copied into the padded input or, in a transposed conv, the
+    (Cin, B, H, W) operand, and its gradient is its channels of ``dx``.
+    The closures keep the parts' offsets, never the parts' arrays.
+
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 and
     analogously for width.
 
@@ -641,12 +636,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     im2col then has Cout*kh*kw rows, not Cin*kh*kw. Any other conv builds
     the im2col of ``x``.
     """
-    x, kernel = _coerce(x), _coerce(kernel)
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(
-            f"conv2d expects rank-4 input and kernel, got {x.shape}, {kernel.shape}"
-        )
-    bn, cin, h, w = x.shape
+    xs = x if isinstance(x, Channels) else Channels((x,))
+    kernel = _coerce(kernel)
+    if kernel.data.ndim != 4:
+        raise ShapeError(f"conv2d expects a rank-4 kernel, got {kernel.shape}")
+    bn, cin, h, w = xs.shape
     cout, ck, kh, kw = kernel.shape
     if ck != cin:
         raise ShapeError(f"kernel expects {ck} input channels, input has {cin}")
@@ -655,49 +649,54 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError("input smaller than kernel after padding")
     kd = kernel.data
+    offs = [0, *accumulate(p.shape[1] for p in xs)]
     # what the backward reads: the kernel for dx, the input for dW
-    nx, nk = x.requires_grad, kernel.requires_grad
+    nxs = [p.requires_grad for p in xs]
+    nx, nk = any(nxs), kernel.requires_grad
 
     if stride == 1 and cout < cin and padding < kh and padding < kw:
         kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         qh, qw = kh - 1 - padding, kw - 1 - padding
-        xc = x.data.transpose(1, 0, 2, 3)
+        # one part is read in place, more are joined in C order
+        xc = (xs[0].data.transpose(1, 0, 2, 3) if len(xs) == 1 else
+              np.concatenate([p.data.transpose(1, 0, 2, 3) for p in xs],
+                             out=np.empty((cin, bn, h, w))))
         out = _scatter(xc, kt, 1, (h + kh - 1, w + kw - 1))
         # the output's Ho = H + 2*padding - kh + 1 rows start at row qh
         data = out[:, :, qh:h + padding, qw:w + padding].transpose(1, 0, 2, 3)
         xc = xc if nk else None
 
-        def bwd(g):
+        def grads(g):
             gw = np.lib.stride_tricks.sliding_window_view(
-                _pad(g, qh, qw), (kh, kw), axis=(2, 3))
+                _pad([g], qh, qw), (kh, kw), axis=(2, 3))
             gx, dkt = _gather(gw, kt, g=xc, correlate=nx)
-            return (None if gx is None else gx.transpose(1, 0, 2, 3),
-                    None if dkt is None
-                    else dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            return gx, (None if dkt is None
+                        else dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    else:
+        xp = _pad([p.data for p in xs], padding, padding)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
+        data = _gather(windows, kd)[0].transpose(1, 0, 2, 3)
+        hp, wp = xp.shape[2:]
+        windows = windows if nk else None
 
-        return _make(data, (x, kernel), bwd)
-
-    xp = _pad(x.data, padding, padding)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    # (Cout, B, Ho, Wo) in memory, returned as a (B, Cout, Ho, Wo) view
-    data = _gather(windows, kd)[0].transpose(1, 0, 2, 3)
-    hp, wp = xp.shape[2:]
-    windows = windows if nk else None
+        def grads(g):
+            gt = g.transpose(1, 0, 2, 3)
+            # the bands are built again, not kept from the forward, so that
+            # no call holds the whole matrix either
+            dk = _gather(windows, kd, g=gt, correlate=False)[1] if nk else None
+            # gx is laid out (Cin, B, Hp, Wp), as the products come out
+            gx = _scatter(gt, kd, stride, (hp, wp)) if nx else None
+            return (None if gx is None else gx[:, :, padding:padding + h,
+                                               padding:padding + w]), dk
 
     def bwd(g):
-        gt = g.transpose(1, 0, 2, 3)
-        # the bands are built again, not kept from the forward, so that no
-        # call holds the whole matrix either
-        dk = _gather(windows, kd, g=gt, correlate=False)[1] if nk else None
-        if not nx:
-            return None, dk
-        # gx is laid out (Cin, B, Hp, Wp), as the products come out
-        gx = _scatter(gt, kd, stride, (hp, wp))
-        return (gx.transpose(1, 0, 2, 3)
-                [:, :, padding:padding + h, padding:padding + w], dk)
+        gx, dk = grads(g)
+        return (*[gx[a:b].transpose(1, 0, 2, 3) if need else None
+                  for a, b, need in zip(offs, offs[1:], nxs)], dk)
 
-    return _make(data, (x, kernel), bwd)
+    return _make(data, (*xs, kernel), bwd)
 
 
 def pixel_shuffle(x, r: int) -> Tensor:

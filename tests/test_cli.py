@@ -188,6 +188,20 @@ class TestTrainDehaze:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and f"'{key}'" in err
 
+    def test_dehaze_manifest_not_an_object_fails_cleanly(self, tmp_path,
+                                                         capsys):
+        img = tmp_path / "a.ppm"
+        write_image(img, np.zeros((3, 32, 32)) + 0.5)
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=1),
+                                        seed=0))
+        for text in ("[]", '"manifest"', "null"):
+            (ckpt / "manifest.json").write_text(text)
+            assert main(["dehaze", str(img), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "manifest.json" in err
+
     def test_dehaze_skips_discriminator(self, tmp_path):
         # dehaze runs the generator alone, so a corrupt discriminator file
         # does not stop it; the full loader still reads and rejects it

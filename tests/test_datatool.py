@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dwgan import datatool
 from dwgan.datatool import (BrightnessMatch, PpmParseError, corrected_mean,
                             gamma_correct, match_brightness, read_image,
                             write_image)
@@ -55,6 +57,56 @@ class TestPpmIo:
             write_image(tmp_path / "b.ppm", np.zeros((1, 4, 4)))
 
 
+    @pytest.mark.parametrize("size", [b"0 2", b"2 0", b"-2 -2"])
+    def test_non_positive_size_rejected(self, tmp_path, size):
+        (tmp_path / "z.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        with pytest.raises(PpmParseError, match="not positive"):
+            read_image(tmp_path / "z.ppm")
+
+
+@pytest.fixture(scope="module")
+def ppm_path(tmp_path_factory):
+    # one file rewritten by every example; hypothesis does not re-run
+    # function-scoped fixtures between examples
+    return tmp_path_factory.mktemp("fuzz") / "f.ppm"
+
+
+_token = st.one_of(st.integers(-3, 9).map(lambda n: str(n).encode()),
+                   st.sampled_from([b"255", b"+2", b"0x2", b"1_0", b"2.0"]),
+                   st.binary(min_size=1, max_size=3))
+_sep = st.sampled_from([b" ", b"\n", b"\t", b"#c\n", b"", b" # x\n"])
+
+
+@st.composite
+def _p6_like(draw):
+    head = draw(st.sampled_from([b"P6", b"P6", b"P5", b"P"]))
+    for _ in range(draw(st.integers(0, 4))):
+        head += draw(_sep) + draw(_token)
+    return head + draw(_sep) + draw(st.binary(max_size=300))
+
+
+def _read_or_value_error(path, blob) -> None:
+    path.write_bytes(blob)
+    try:
+        img = read_image(path)
+    except ValueError:
+        return
+    assert img.ndim == 3 and img.shape[0] == 3 and img.size > 0
+    assert img.min() >= 0.0 and img.max() <= 1.0
+
+
+class TestPpmProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.binary(max_size=64))
+    def test_any_bytes(self, ppm_path, blob):
+        _read_or_value_error(ppm_path, blob)
+
+    @settings(max_examples=500, deadline=None)
+    @given(blob=_p6_like())
+    def test_p6_like_headers(self, ppm_path, blob):
+        _read_or_value_error(ppm_path, blob)
+
+
 class TestGammaCorrect:
     def test_fixed_points_exact(self):
         img = np.array([[[0.0, 1.0]]] * 3)
@@ -106,6 +158,23 @@ class TestMatchBrightness:
     def test_target_bounds_rejected(self):
         with pytest.raises(ValueError):
             match_brightness([rand_img()], target_mean=255.0)
+
+    def test_one_mean_per_iteration(self, monkeypatch):
+        # two means for the bracket, then one per bisection step
+        calls = []
+
+        def counted(images, gamma):
+            calls.append(gamma)
+            return corrected_mean(images, gamma)
+
+        monkeypatch.setattr(datatool, "corrected_mean", counted)
+        match = match_brightness([rand_img(3)], target_mean=100.0, tol=0.01)
+        assert len(calls) == match.iterations + 2
+        assert calls[-1] == match.gamma
+
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            match_brightness([rand_img()], target_mean=100.0, max_iter=0)
 
     def test_mean_decreasing_in_gamma(self):
         images = [rand_img(2)]

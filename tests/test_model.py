@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwgan.model import (ChannelAttention, Conv, Discriminator, DwtDown,
                          DwtUp, Generator, ModelConfig, PixelAttention,
-                         load_checkpoint, save_checkpoint)
+                         load_checkpoint, load_generator, save_checkpoint)
 from dwgan.tensor import ShapeError, Tensor
 from dwgan.train import checkpoint_hash
 from dwgan.wavelet import dwt2
@@ -140,6 +141,14 @@ class TestBlocks:
         with pytest.raises(ShapeError):
             up(x, bad)
 
+    def test_conv_reads_parts_as_their_join(self):
+        conv = Conv(np.random.default_rng(23), 5, 2, k=3)
+        a, b = rand_img((2, 3, 6, 6), 24), rand_img((2, 2, 6, 6), 25)
+        joined = Tensor(np.concatenate([a.data, b.data], axis=1))
+        np.testing.assert_array_equal(conv(a, b).data, conv(joined).data)
+        with pytest.raises(ShapeError):
+            conv(a, rand_img((2, 2, 4, 6), 26))
+
     def test_conv_bias_toggle(self):
         rng = np.random.default_rng(22)
         conv = Conv(rng, 3, 5, k=3, bias=False)
@@ -231,10 +240,14 @@ class TestCheckpoint:
         (lambda m: m.update(seed="0"), "'seed'"),
         (lambda m: m.update(disc_seed=1.0), "'disc_seed'"),
         (lambda m: m.update(config=[["depth", 2]]), "'config'"),
+        (lambda m: m["config"].update(attention_reduction=0),
+         "attention_reduction"),
+        (lambda m: m["config"].update(encoder_channels=[4, 0, 8]),
+         "encoder_channels"),
     ], ids=["no_config", "no_seed", "unknown_key", "missing_key",
             "channels_int", "channels_str_item", "depth_str", "depth_float",
             "int_bool", "bool_int", "bool_str", "seed_str", "disc_seed_float",
-            "config_list"])
+            "config_list", "reduction_zero", "channel_zero"])
     def test_manifest_config_keys_checked(self, tmp_path, edit, key):
         save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
         path = tmp_path / "manifest.json"
@@ -244,6 +257,23 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("text", ["[]", '"manifest"', "null"],
+                             ids=["list", "string", "null"])
+    def test_manifest_not_an_object(self, tmp_path, text):
+        save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="manifest.json"):
+            load_generator(tmp_path)
+
+    @pytest.mark.parametrize("cfg, field", [
+        (dict(attention_reduction=0), "attention_reduction"),
+        (dict(encoder_channels=(4, 0, 8)), "encoder_channels"),
+    ], ids=["reduction_zero", "channel_zero"])
+    def test_config_rejects_zero_divisors(self, cfg, field):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**cfg)
+
     def test_missing_file_errors(self, tmp_path):
         gen = Generator(small_cfg(), seed=0)
         save_checkpoint(tmp_path, gen)
@@ -251,3 +281,51 @@ class TestCheckpoint:
         victim.unlink()
         with pytest.raises((FileNotFoundError, ValueError)):
             load_checkpoint(tmp_path)
+
+
+# JSON values whose integers stay small: a config the loader accepts then
+# builds a small generator (a large depth or width allocates accordingly)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4)
+    | st.floats(allow_nan=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=10)
+
+
+@pytest.fixture(scope="module")
+def fuzz_ckpt(tmp_path_factory):
+    # one checkpoint whose manifest every example rewrites; hypothesis does
+    # not re-run function-scoped fixtures between examples
+    directory = tmp_path_factory.mktemp("ckpt")
+    cfg = small_cfg()
+    save_checkpoint(directory, Generator(cfg, seed=0),
+                    Discriminator(cfg, seed=1))
+    return directory, json.loads((directory / "manifest.json").read_text())
+
+
+def _loads_or_value_error(directory, manifest) -> None:
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        gen, _, _ = load_checkpoint(directory)
+    except ValueError:
+        return
+    assert isinstance(gen, Generator)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(manifest=_json)
+    def test_any_json_manifest(self, fuzz_ckpt, manifest):
+        _loads_or_value_error(fuzz_ckpt[0], manifest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), value=st.one_of(
+        st.integers(-1, 4), st.booleans(),
+        st.lists(st.integers(-1, 4), max_size=4), _json))
+    def test_any_value_for_a_key(self, fuzz_ckpt, data, value):
+        directory, manifest = fuzz_ckpt
+        manifest = json.loads(json.dumps(manifest))
+        table = data.draw(st.sampled_from([manifest, manifest["config"]]))
+        table[data.draw(st.sampled_from(sorted(table)))] = value
+        _loads_or_value_error(directory, manifest)

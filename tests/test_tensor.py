@@ -8,11 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from dwgan import tensor
 from dwgan.model import Generator, ModelConfig
-from dwgan.tensor import (GradCheckReport, ShapeError, Tensor, add, avg_pool2,
-                          concat, conv2d, div, grad_check, interleave2,
-                          load_tensor, mul, no_grad, pixel_shuffle, relu,
-                          reshape, save_tensor, sigmoid, spatial_mean,
-                          subsample2)
+from dwgan.tensor import (Channels, GradCheckReport, ShapeError, Tensor, add,
+                          avg_pool2, conv2d, div, grad_check, interleave2,
+                          leaky_relu, load_tensor, mul, no_grad,
+                          pixel_shuffle, relu, reshape, save_tensor, sigmoid,
+                          spatial_mean, subsample2)
 
 
 def rand(shape, seed=0):
@@ -154,6 +154,79 @@ class TestConv2dReference:
         self.check(kh, kw, stride, padding, layout, cout=4)
 
 
+class TestChannels:
+    """A conv over channel parts against the same conv over their
+    np.concatenate'd join: the same products, so the same bits."""
+
+    MODES = pytest.mark.parametrize("cout", [6, 2],
+                                    ids=["im2col", "transposed"])
+
+    @staticmethod
+    def run(cout, parts_grad=(True, True)):
+        ad, bd = rand((2, 3, 5, 7), seed=50), rand((2, 2, 5, 7), seed=51)
+        kd, gd = rand((cout, 5, 3, 3), seed=52), rand((2, cout, 5, 7), seed=53)
+        a, b = (Tensor(d, requires_grad=n) for d, n in zip((ad, bd), parts_grad))
+        k = Tensor(kd, requires_grad=True)
+        y = conv2d(Channels((a, b)), k, padding=1)
+        (y * Tensor(gd)).sum().backward()
+        x = Tensor(np.concatenate([ad, bd], axis=1), requires_grad=True)
+        kr = Tensor(kd, requires_grad=True)
+        yr = conv2d(x, kr, padding=1)
+        (yr * Tensor(gd)).sum().backward()
+        np.testing.assert_array_equal(y.data, yr.data)
+        np.testing.assert_array_equal(k.grad, kr.grad)
+        return a.grad, b.grad, x.grad[:, :3], x.grad[:, 3:]
+
+    @MODES
+    def test_matches_conv_of_join(self, cout):
+        ga, gb, want_a, want_b = self.run(cout)
+        np.testing.assert_array_equal(ga, want_a)
+        np.testing.assert_array_equal(gb, want_b)
+
+    @MODES
+    def test_part_without_grad_gets_none(self, cout):
+        for first in (True, False):
+            ga, gb, want_a, want_b = self.run(cout, (first, not first))
+            got, none, want = (ga, gb, want_a) if first else (gb, ga, want_b)
+            assert none is None
+            np.testing.assert_array_equal(got, want)
+
+    def test_shape_is_the_joins(self):
+        parts = Channels((Tensor(rand((2, 3, 4, 5))), rand((2, 1, 4, 5))))
+        assert parts.shape == (2, 4, 4, 5)
+        assert all(isinstance(p, Tensor) for p in parts)
+
+    @pytest.mark.parametrize("other", [(3, 2, 4, 5), (2, 2, 3, 5),
+                                       (2, 2, 4, 6), (2, 4, 5)],
+                             ids=["batch", "height", "width", "rank"])
+    def test_mismatch_rejected(self, other):
+        a = Tensor(rand((2, 3, 4, 5)))
+        with pytest.raises(ShapeError):
+            Channels((a, Tensor(rand(other))))
+        with pytest.raises(ShapeError):
+            Channels(())
+
+    def test_parts_freed_before_backward(self):
+        # the closure keeps the parts' offsets, not the parts, so their
+        # arrays go when the caller drops them before backward
+        def grads(drop):
+            xa = Tensor(rand((2, 3, 6, 6), seed=54), requires_grad=True)
+            xb = Tensor(rand((2, 2, 6, 6), seed=55), requires_grad=True)
+            k = Tensor(rand((2, 5, 3, 3), seed=56), requires_grad=True)
+            a, b = xa * 2.0, xb * 3.0
+            loss = relu(conv2d(Channels((a, b)), k, padding=1)).mean()
+            refs = [weakref.ref(a.data), weakref.ref(b.data)]
+            if drop:
+                del a, b
+                assert all(r() is None for r in refs)
+            loss.backward()
+            return xa.grad, xb.grad, k.grad
+
+        for got, want in zip(grads(True), grads(False)):
+            assert got is not None and np.any(got)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestConv2dBackwardMemory:
     """A conv's working memory, forward and backward, is a few copies of
     the input, not an im2col-sized matrix kh*kw times larger (1 MB input,
@@ -280,7 +353,7 @@ class TestBackward:
 
     def test_relu_subgradient(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)
-        x.relu().sum().backward()
+        relu(x).sum().backward()
         assert x.grad.tolist() == [0.0, 1.0]
 
     def test_non_scalar_root_rejected(self):
@@ -347,13 +420,14 @@ class TestBackward:
             np.testing.assert_array_equal(got, want)
 
     def test_leaf_grads_share_no_memory(self):
-        # add hands both parents the gradient it was given; reshape, concat
-        # and interleave2 hand back views of it
+        # add hands both parents the gradient it was given; reshape and
+        # interleave2 hand back views of it, and a conv views of its dx
         a, b, c, d, e, f = (Tensor(rand(s, seed=40 + i), requires_grad=True)
                             for i, s in enumerate([(1, 2, 3, 3)] * 4
                                                   + [(1, 1, 3, 3)] * 2))
+        eye = Tensor(np.eye(2).reshape(2, 2, 1, 1))
         out = interleave2(add(a, b), reshape(reshape(c, (2, 9)), c.shape),
-                          d, concat([e, f], axis=1))
+                          d, conv2d(Channels((e, f)), eye))
         (out * 3.0).sum().backward()
         leaves = (a, b, c, d, e, f)
         for t in leaves:
@@ -459,8 +533,8 @@ class TestGradCheck:
         assert rep.passed and rep.max_rel_err == 0.0
 
     @pytest.mark.parametrize("fn", [
-        lambda t: t.sigmoid().sum(),
-        lambda t: (t.leaky_relu(0.2) * t).sum(),
+        lambda t: sigmoid(t).sum(),
+        lambda t: (leaky_relu(t, 0.2) * t).sum(),
         lambda t: pixel_shuffle(t, 2).abs().sum(),
         lambda t: avg_pool2(t).sum(),
         lambda t: spatial_mean(t * t).sum(),
@@ -480,9 +554,11 @@ class TestStructural:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_concat_backward_splits(self):
+        # a join read by a conv hands each part its own channels of dx
         a = Tensor(rand((1, 2, 2, 2), seed=13), requires_grad=True)
         b = Tensor(rand((1, 3, 2, 2), seed=14), requires_grad=True)
-        (concat([a, b], axis=1) * 2.0).sum().backward()
+        eye = Tensor(np.eye(5).reshape(5, 5, 1, 1))
+        (conv2d(Channels((a, b)), eye) * 2.0).sum().backward()
         np.testing.assert_array_equal(a.grad, np.full(a.shape, 2.0))
         np.testing.assert_array_equal(b.grad, np.full(b.shape, 2.0))
 
