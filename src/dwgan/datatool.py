@@ -8,6 +8,7 @@ channel by at most half a quantization step.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,14 +48,19 @@ def read_image(path) -> np.ndarray:
     buf = Path(path).read_bytes()
     if buf[:2] != b"P6":
         raise PpmParseError(f"expected magic b'P6', got {buf[:2]!r}", 0)
+    if not buf[2:3].isspace():
+        raise PpmParseError("expected whitespace after the magic", 2)
     pos = 2
-    width_tok, pos = _read_token(buf, pos)
-    height_tok, pos = _read_token(buf, pos)
-    maxval_tok, pos = _read_token(buf, pos)
-    try:
-        width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
-    except ValueError:
-        raise PpmParseError("non-numeric header field", pos) from None
+    fields = []
+    for _ in range(3):
+        tok, pos = _read_token(buf, pos)
+        # ASCII digits only (int() would take b"+2" and b"1_0"); a leading
+        # '-' is read so that a negative size is reported as one
+        if re.fullmatch(rb"-?[0-9]+", tok) is None:
+            raise PpmParseError(f"non-numeric header field {tok!r}",
+                                pos - len(tok))
+        fields.append(int(tok))
+    width, height, maxval = fields
     if maxval != 255:
         raise PpmParseError(f"unsupported maxval {maxval}, expected 255", pos)
     if width < 1 or height < 1:

@@ -6,6 +6,16 @@ C1 = (0.01*L)^2, C2 = (0.03*L)^2 and is computed over the valid region
 contrast/structure terms over a dyadic pyramid (2x2 mean pooling between
 levels) and applies the luminance term only at the coarsest level.
 
+Each level computes only the terms it returns: a level below the coarsest
+builds the window means, variances and covariance and the mean
+contrast/structure term, but no luminance map and no l*cs map; the
+coarsest level (and plain SSIM) adds the luminance map and the l*cs map.
+No moment or product map outlives its last use, so outside a recorded
+graph a 256x256 RGB pair peaks at about 7 valid-region maps for SSIM
+(its window filters included) rather than the 12 it took with every map
+kept to the end. Under a recorded graph the backward closures keep what
+they read, as always.
+
 The SSIM/MS-SSIM cores run on the autodiff tensor engine so the loss
 module can differentiate through them; the public functions here accept
 tensors or arrays and return plain floats.
@@ -76,23 +86,21 @@ def _window_filter(x: Tensor, win_col: Tensor, win_row: Tensor) -> Tensor:
     # per-channel valid convolution; the Gaussian window is separable, so
     # apply the (k,1) and (1,k) factors in sequence
     b, c, h, w = x.shape
-    flat = reshape(x, (b * c, 1, h, w))
-    out = conv2d(conv2d(flat, win_col), win_row)
+    cols = conv2d(reshape(x, (b * c, 1, h, w)), win_col)
+    del x  # a product map passed in is freed before the (1,k) pass
+    out = conv2d(cols, win_row)
     return reshape(out, (b, c) + out.shape[2:])
 
 
-def ssim_components(a: Tensor, b: Tensor,
-                    cfg: SsimConfig | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean luminance term, mean contrast/structure term, and the SSIM map.
+def _ssim_maps(a: Tensor, b: Tensor, cfg: SsimConfig,
+               luminance: bool) -> tuple[Tensor | None, Tensor]:
+    """The luminance map (None unless ``luminance``) and the
+    contrast/structure map of two equal-shape rank-4 tensors.
 
-    All three are differentiable tensors; the map has the valid-region
-    spatial extent.
+    Each moment and product map is dropped right after its last use, so
+    outside a recorded graph at most four maps are held while a window
+    filter runs (three without the luminance map).
     """
-    cfg = cfg or SsimConfig()
-    a = _as_tensor4(a)
-    b = _as_tensor4(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
     _, _, h, w = a.shape
     if h < cfg.window_size or w < cfg.window_size:
         raise ShapeError(
@@ -103,17 +111,46 @@ def ssim_components(a: Tensor, b: Tensor,
     g1 = g1 / g1.sum()
     win_col = Tensor(g1.reshape(1, 1, -1, 1))
     win_row = Tensor(g1.reshape(1, 1, 1, -1))
+    c1, c2 = cfg.c1, cfg.c2
     mu_a = _window_filter(a, win_col, win_row)
     mu_b = _window_filter(b, win_col, win_row)
-    mu_aa = mu_a * mu_a
-    mu_bb = mu_b * mu_b
     mu_ab = mu_a * mu_b
-    var_a = _window_filter(a * a, win_col, win_row) - mu_aa
-    var_b = _window_filter(b * b, win_col, win_row) - mu_bb
-    cov = _window_filter(a * b, win_col, win_row) - mu_ab
-    c1, c2 = cfg.c1, cfg.c2
-    lum = (mu_ab * 2.0 + c1) / (mu_aa + mu_bb + c1)
-    cs = (cov * 2.0 + c2) / (var_a + var_b + c2)
+    mu_aa = mu_a * mu_a
+    del mu_a
+    mu_bb = mu_b * mu_b
+    del mu_b
+    lum = ((mu_ab * 2.0 + c1) / (mu_aa + mu_bb + c1)) if luminance else None
+    # x - y is x + (-y): negating each mean product now, one at a time,
+    # keeps the subtractions below from holding both it and its negation
+    neg_ab = -mu_ab
+    del mu_ab
+    neg_aa = -mu_aa
+    del mu_aa
+    neg_bb = -mu_bb
+    del mu_bb
+    var_a = _window_filter(a * a, win_col, win_row) + neg_aa
+    del neg_aa
+    var_b = _window_filter(b * b, win_col, win_row) + neg_bb
+    del neg_bb
+    den = var_a + var_b + c2
+    del var_a, var_b
+    cov = _window_filter(a * b, win_col, win_row) + neg_ab
+    del neg_ab
+    return lum, (cov * 2.0 + c2) / den
+
+
+def ssim_components(a: Tensor, b: Tensor,
+                    cfg: SsimConfig | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """Mean luminance term, mean contrast/structure term, and the SSIM map.
+
+    All three are differentiable tensors; the map has the valid-region
+    spatial extent.
+    """
+    a = _as_tensor4(a)
+    b = _as_tensor4(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
+    lum, cs = _ssim_maps(a, b, cfg or SsimConfig(), luminance=True)
     return lum.mean(), cs.mean(), lum * cs
 
 
@@ -160,23 +197,25 @@ def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
     weights = weights / weights.sum()
 
     # Coarser levels contribute their mean contrast/structure term raised
-    # to the level weight; the coarsest level uses the per-pixel l*cs map
-    # so that a single level with weight 1 collapses exactly to SSIM.
+    # to the level weight and build no luminance map; the coarsest level
+    # uses the per-pixel l*cs map so that a single level with weight 1
+    # collapses exactly to SSIM.
     result: Tensor | None = None
     cur_a, cur_b = a, b
     for m in range(levels):
-        lum, cs, smap = ssim_components(cur_a, cur_b, cfg.ssim)
-        if m == levels - 1:
+        last = m == levels - 1
+        lum, cs = _ssim_maps(cur_a, cur_b, cfg.ssim, luminance=last)
+        if not last:
+            term = power(clip_min(cs.mean(), 1e-6), float(weights[m]))
+        elif weights[m] == 1.0:
             # weight 1 needs no flooring, keeping the single-level case
             # identical to plain SSIM even for negative map values
-            if weights[m] == 1.0:
-                term = smap.mean()
-            else:
-                term = power(clip_min(smap, 1e-6), float(weights[m])).mean()
+            term = (lum * cs).mean()
         else:
-            term = power(clip_min(cs, 1e-6), float(weights[m]))
+            term = power(clip_min(lum * cs, 1e-6), float(weights[m])).mean()
+        del lum, cs
         result = term if result is None else result * term
-        if m < levels - 1:
+        if not last:
             _, _, ch, cw = cur_a.shape
             if ch % 2 or cw % 2:
                 raise ShapeError(

@@ -86,8 +86,11 @@ class Module:
         return sum(p.size for _, p in self.named_parameters())
 
 
-def _kaiming(rng: np.random.Generator, cout: int, cin: int, kh: int,
+def _kaiming(rng: np.random.Generator | None, cout: int, cin: int, kh: int,
              kw: int) -> np.ndarray:
+    if rng is None:
+        # allocated only: the caller overwrites every weight
+        return np.empty((cout, cin, kh, kw))
     bound = np.sqrt(6.0 / (cin * kh * kw))
     return rng.uniform(-bound, bound, size=(cout, cin, kh, kw))
 
@@ -283,10 +286,14 @@ class KaBranch(Module):
 
 
 class Generator(Module):
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    """The dehazing generator. ``draw=False`` allocates its conv weights
+    without drawing them, for a caller that overwrites every parameter (the
+    checkpoint loader); the encoder is still drawn from ``encoder_seed``."""
+
+    def __init__(self, cfg: ModelConfig, seed: int = 0, *, draw: bool = True):
         self.cfg = cfg
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         if cfg.use_dwt_branch:
             self.dwt_branch = DwtBranch(rng, cfg)
         if cfg.use_ka_branch:
@@ -306,12 +313,14 @@ class Generator(Module):
 class Discriminator(Module):
     """Patch discriminator: four stride-2 conv stages (leaky ReLU 0.2)
     followed by a 1x1 conv and sigmoid, giving one probability per
-    H/16 x W/16 patch. Receptive field is 46 px at these kernel sizes."""
+    H/16 x W/16 patch. Receptive field is 46 px at these kernel sizes.
+    ``draw=False`` allocates the weights without drawing them, as for the
+    generator."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 1):
+    def __init__(self, cfg: ModelConfig, seed: int = 1, *, draw: bool = True):
         self.cfg = cfg
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         bc = cfg.base_channels
         chans = [3, bc, 2 * bc, 4 * bc, 4 * bc]
         self.convs = [Conv(rng, chans[i], chans[i + 1], k=4, stride=2,
@@ -403,7 +412,7 @@ def load_generator(directory) -> tuple[Generator, dict]:
                              f"{manifest[key]!r}")
     cfg_dict["encoder_channels"] = tuple(cfg_dict["encoder_channels"])
     cfg = ModelConfig(**cfg_dict)
-    gen = Generator(cfg, seed=manifest["seed"])
+    gen = Generator(cfg, seed=manifest["seed"], draw=False)
     _load_params(gen, directory / "params")
     return gen, manifest
 
@@ -415,6 +424,7 @@ def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     gen, manifest = load_generator(directory)
     disc = None
     if (directory / "disc_params").exists():
-        disc = Discriminator(gen.cfg, seed=manifest.get("disc_seed", 1))
+        disc = Discriminator(gen.cfg, seed=manifest.get("disc_seed", 1),
+                             draw=False)
         _load_params(disc, directory / "disc_params")
     return gen, disc, manifest

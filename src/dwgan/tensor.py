@@ -151,12 +151,14 @@ class Tensor:
 
         Each closure's gradients are added into its parents' nodes in
         parent order, so a node used several times sums them. A gradient
-        is stored as it comes only when it is C-contiguous, owns its memory
-        and is not the gradient the closure was given; anything else is
-        copied, so no two nodes share a gradient array. The sweep releases
-        every node whose closure it runs (see the module docstring):
-        afterwards only the leaves hold a ``.grad``, and a second backward
-        through the same graph raises RuntimeError.
+        is stored as it comes only when it is C-contiguous and owns its
+        memory, and, when it is the gradient the closure was given (as
+        ``add`` hands it on), only for the last parent it goes to, since
+        the node drops it right after; anything else is copied, so no two
+        nodes share a gradient array. The sweep releases every node whose
+        closure it runs (see the module docstring): afterwards only the
+        leaves hold a ``.grad``, and a second backward through the same
+        graph raises RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(
@@ -188,12 +190,16 @@ class Tensor:
                 continue
             g = node.grad
             if g is not None:
-                for p, gp in zip(node.parents, node.backward(g)):
-                    if p is None or gp is None:
-                        continue
+                pairs = [(p, gp) for p, gp in
+                         zip(node.parents, node.backward(g))
+                         if p is not None and gp is not None]
+                # g is dropped below, so the last parent handed g may keep it
+                last = max((n for n, (_, gp) in enumerate(pairs) if gp is g),
+                           default=-1)
+                for n, (p, gp) in enumerate(pairs):
                     if p.grad is not None:
                         p.grad = p.grad + gp
-                    elif (gp is g or not gp.flags.c_contiguous
+                    elif ((gp is g and n != last) or not gp.flags.c_contiguous
                           or not gp.flags.owndata):
                         p.grad = gp.copy()
                     else:
@@ -601,15 +607,36 @@ def _scatter(g, k, stride, size):
     array ``g`` back through the (C', C, kh, kw) kernel ``k`` into a
     (C, B) + ``size`` array, one tap at a time. The (C, B*Ho*Wo) product
     of tap (i, j) lands on every input pixel under that tap, so no call
-    forms the im2col-sized ``kmat.T @ gmat``."""
+    forms the im2col-sized ``kmat.T @ gmat``.
+
+    A (C, C') product with C much smaller than C' (the fusion conv's C = 3)
+    runs badly in BLAS, so ``t = C' // 2C`` consecutive taps run as one
+    (t*C, C') product, at most half the size of ``g``; each tap's slice is
+    still added in (i, j) order. On the model's shapes each slice has the
+    bits of that tap's own product; BLAS may round a product with few
+    columns differently. A lone tap keeps the transposed view
+    ``k[:, :, i, j].T``: a contiguous copy changes the bits of the
+    attention convs' gradients on 1x1 inputs."""
     cp, c, kh, kw = k.shape
     _, bn, ho, wo = g.shape
     gmat = g.reshape(cp, bn * ho * wo)
     out = np.zeros((c, bn) + tuple(size))
-    for i in range(kh):
-        for j in range(kw):
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    t = max(1, cp // (2 * c))
+    # rows ordered (tap, C): a group's kernel is one contiguous slice
+    kstack = k.transpose(2, 3, 1, 0).reshape(-1, cp) if t > 1 else None
+    for n in range(0, len(taps), t):
+        group = taps[n:n + t]
+        if len(group) == 1:
+            i, j = group[0]
+            prod = k[:, :, i, j].T @ gmat
+        else:
+            prod = kstack[n * c:(n + len(group)) * c] @ gmat
+        for s, (i, j) in enumerate(group):
             out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                (k[:, :, i, j].T @ gmat).reshape(c, bn, ho, wo)
+                prod[s * c:(s + 1) * c].reshape(c, bn, ho, wo)
+        # freed before the next group's product is formed
+        del prod
     return out
 
 
@@ -727,14 +754,21 @@ def pixel_shuffle(x, r: int) -> Tensor:
 
 
 def avg_pool2(x) -> Tensor:
-    """2x2 mean pooling with stride 2; requires even spatial dims."""
+    """2x2 mean pooling with stride 2; requires even spatial dims.
+
+    Each block is summed as (x00 + x01) + (x10 + x11) and divided by 4,
+    whatever the input's memory layout. numpy's mean over a C-ordered
+    block adds in that order when the rows are at least 4 wide; at width 2,
+    or in another layout, it adds in another order."""
     x = _coerce(x)
     if x.data.ndim != 4:
         raise ShapeError("avg_pool2 expects rank 4")
     bn, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 needs even dims, got {h}x{w}")
-    data = x.data.reshape(bn, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    xd = x.data
+    data = ((xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2])
+            + (xd[:, :, 1::2, 0::2] + xd[:, :, 1::2, 1::2])) / 4.0
 
     def bwd(g):
         return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)

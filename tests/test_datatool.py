@@ -47,6 +47,19 @@ class TestPpmIo:
         with pytest.raises(PpmParseError, match="non-numeric"):
             read_image(tmp_path / "n.ppm")
 
+    @pytest.mark.parametrize("head", [
+        b"P6\n+2 1_0\n255\n",    # int() would read (2, 10)
+        b"P6\n2 2\n+255\n",
+        b"P6\n\xd9\xa2 2\n255\n",  # a non-ASCII digit
+        b"P61 1\n255\n",          # no whitespace after the magic
+        b"P6#c\n2 2\n255\n",
+    ], ids=["sign_and_underscore", "signed_maxval", "arabic_digit",
+            "magic_run_on", "magic_then_comment"])
+    def test_header_outside_p6_rejected(self, tmp_path, head):
+        (tmp_path / "h.ppm").write_bytes(head + bytes(60))
+        with pytest.raises(PpmParseError):
+            read_image(tmp_path / "h.ppm")
+
     def test_unsupported_maxval(self, tmp_path):
         (tmp_path / "m.ppm").write_bytes(b"P6\n2 2\n127\n" + bytes(12))
         with pytest.raises(PpmParseError, match="maxval"):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dwgan import tensor
 from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, MsSsimConfig, SsimConfig,
                            fit_levels, gaussian_window, gray_stats, ms_ssim,
-                           psnr, ssim, ssim_components)
-from dwgan.tensor import ShapeError, Tensor
+                           ms_ssim_tensor, psnr, ssim, ssim_components)
+from dwgan.tensor import ShapeError, Tensor, avg_pool2, clip_min, power
 
 
 def rand_img(shape, seed=0, lo=0.0, hi=1.0):
@@ -137,6 +140,66 @@ class TestMsSsim:
             a = rand_img((1, 1, 32, 32), 30 + seed)
             b = rand_img((1, 1, 32, 32), 40 + seed)
             assert -1.0 <= ms_ssim(a, b) <= 1.0
+
+
+def ms_ssim_full(a: Tensor, b: Tensor, cfg: MsSsimConfig) -> Tensor:
+    """Reference MS-SSIM that builds every component at every level and
+    keeps them all, combining them as ms_ssim_tensor does."""
+    w = np.asarray(cfg.weights) / np.sum(cfg.weights)
+    result = None
+    for m in range(cfg.levels):
+        lum, cs, smap = ssim_components(a, b, cfg.ssim)
+        if m < cfg.levels - 1:
+            term = power(clip_min(cs, 1e-6), float(w[m]))
+            a, b = avg_pool2(a), avg_pool2(b)
+        elif w[m] == 1.0:
+            term = smap.mean()
+        else:
+            term = power(clip_min(smap, 1e-6), float(w[m])).mean()
+        result = term if result is None else result * term
+    return result
+
+
+class TestWorkingSet:
+    """SSIM and MS-SSIM keep each map only until its last use, and the
+    levels below the coarsest skip the luminance terms, with the same
+    floats (and gradients) as the full computation."""
+
+    @pytest.mark.parametrize("shape, weights", [
+        ((1, 3, 64, 64), DEFAULT_MSSSIM_WEIGHTS[:3]),
+        ((2, 3, 32, 48), DEFAULT_MSSSIM_WEIGHTS[:2]),
+        ((1, 1, 16, 16), (1.0,)),
+        ((1, 1, 16, 16), (0.3,)),
+    ])
+    def test_ms_ssim_equals_full_components(self, shape, weights):
+        cfg = MsSsimConfig(weights=weights)
+        x = rand_img(shape, 50)
+        y = np.clip(x + rand_img(shape, 51, -0.3, 0.3), 0, 1)
+        a, a_ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        got, want = ms_ssim_tensor(a, Tensor(y), cfg), ms_ssim_full(
+            a_ref, Tensor(y), cfg)
+        assert got.item() == want.item()
+        got.backward()
+        want.backward()
+        np.testing.assert_array_equal(a.grad, a_ref.grad)
+
+    def test_ssim_peak_is_seven_maps(self):
+        # a filter pass also holds one im2col band; keeping every moment
+        # and product map to the end peaked at 4.56 MB here, about 10.5
+        # maps plus the band
+        x = rand_img((1, 3, 128, 128), 52)
+        y = np.clip(x + rand_img(x.shape, 53, -0.2, 0.2), 0, 1)
+        want = ssim(x, y)[0]
+        tracemalloc.start()
+        try:
+            got = ssim(x, y)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        map_bytes = 3 * 118 * 118 * 8
+        bound = 7 * map_bytes + tensor._COL_BAND_BYTES
+        assert peak <= bound, (peak, bound)
 
 
 class TestGrayStats:

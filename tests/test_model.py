@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dwgan.model import (ChannelAttention, Conv, Discriminator, DwtDown,
                          DwtUp, Generator, ModelConfig, PixelAttention,
                          load_checkpoint, load_generator, save_checkpoint)
-from dwgan.tensor import ShapeError, Tensor
+from dwgan.tensor import ShapeError, Tensor, load_tensor
 from dwgan.train import checkpoint_hash
 from dwgan.wavelet import dwt2
 
@@ -185,6 +185,11 @@ def assert_round_trip(tmp_path, cfg):
     gen2, disc2, manifest = load_checkpoint(tmp_path)
     assert manifest["step"] == 42 and manifest["note"] == "x"
     assert gen2.cfg == cfg
+    # the loader allocates the weights undrawn: each must come from its file
+    for module, sub in ((gen2, "params"), (disc2, "disc_params")):
+        for name, p in module.named_parameters():
+            np.testing.assert_array_equal(
+                p.data, load_tensor(tmp_path / sub / f"{name}.bin").data)
     x = rand_img((1, 3, 32, 32), 26)
     np.testing.assert_array_equal(gen(x).data, gen2(x).data)
     np.testing.assert_array_equal(disc(x).data, disc2(x).data)
@@ -280,6 +285,16 @@ class TestCheckpoint:
         victim = next((tmp_path / "params").iterdir())
         victim.unlink()
         with pytest.raises((FileNotFoundError, ValueError)):
+            load_checkpoint(tmp_path)
+
+    def test_missing_disc_file_errors(self, tmp_path):
+        # the discriminator is allocated undrawn too, so a weight with no
+        # file must still fail, not load as uninitialized memory
+        cfg = small_cfg()
+        save_checkpoint(tmp_path, Generator(cfg, seed=0),
+                        Discriminator(cfg, seed=1))
+        sorted((tmp_path / "disc_params").iterdir())[-1].unlink()
+        with pytest.raises(ValueError, match="missing"):
             load_checkpoint(tmp_path)
 
 

@@ -249,6 +249,40 @@ class TestConv2dBackwardMemory:
         assert peak <= bound, (peak, bound)
 
 
+class TestScatter:
+    """``_scatter`` runs consecutive taps of a kernel with few output
+    channels as one product; it adds the same products in the same order
+    as one product per tap. The shapes are the model's: they give the same
+    bits with the BLAS the bits are pinned for."""
+
+    @staticmethod
+    def per_tap(g, k, stride, size):
+        cp, c, kh, kw = k.shape
+        _, bn, ho, wo = g.shape
+        gmat = g.reshape(cp, bn * ho * wo)
+        out = np.zeros((c, bn) + tuple(size))
+        for i in range(kh):
+            for j in range(kw):
+                out[:, :, i:i + stride * ho:stride,
+                    j:j + stride * wo:stride] += \
+                    (k[:, :, i, j].T @ gmat).reshape(c, bn, ho, wo)
+        return out
+
+    @pytest.mark.parametrize("g_shape, k_shape, stride", [
+        ((32, 4, 32, 32), (32, 3, 7, 7), 1),
+        ((16, 4, 16, 16), (16, 3, 3, 3), 2),
+        ((16, 4, 16, 16), (16, 3, 4, 4), 2),
+        ((16, 4, 1, 1), (16, 2, 1, 1), 1),
+    ], ids=["fusion_k7", "k3s2_c3", "k4s2_c3", "k1_on_1x1"])
+    def test_grouped_taps_equal_per_tap(self, g_shape, k_shape, stride):
+        g, k = rand(g_shape, seed=43), rand(k_shape, seed=44)
+        _, _, ho, wo = g_shape
+        _, _, kh, kw = k_shape
+        size = (stride * (ho - 1) + kh, stride * (wo - 1) + kw)
+        np.testing.assert_array_equal(tensor._scatter(g, k, stride, size),
+                                      self.per_tap(g, k, stride, size))
+
+
 class TestPixelShuffle:
     def test_rearrangement_by_definition(self):
         x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1, 1))
@@ -436,6 +470,16 @@ class TestBackward:
             for t in leaves[i + 1:]:
                 assert not np.shares_memory(s.grad, t.grad)
 
+    def test_tensor_added_to_itself(self):
+        # add hands the gradient it was given to both parents; only the
+        # last may keep that array, so a's two terms are summed, not shared
+        a = Tensor(rand((1, 2, 3, 3), seed=48), requires_grad=True)
+        b = Tensor(rand((1, 2, 3, 3), seed=49), requires_grad=True)
+        (add(add(a, a), b) * 3.0).sum().backward()
+        np.testing.assert_array_equal(a.grad, np.full(a.shape, 6.0))
+        np.testing.assert_array_equal(b.grad, np.full(b.shape, 3.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_wrapped_make_is_what_backward_calls(self, monkeypatch):
         # an op profiler wraps _make from outside and swaps each node's
         # closure for a wrapper that calls the original; backward must run
@@ -566,6 +610,33 @@ class TestStructural:
         g = Tensor(rand((1, 3, 1, 1), seed=15), requires_grad=True)
         (g * Tensor(np.ones((1, 3, 4, 4)))).sum().backward()
         np.testing.assert_allclose(g.grad, np.full((1, 3, 1, 1), 16.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.integers(1, 3),
+                           st.integers(1, 8).map(lambda n: 2 * n),
+                           st.integers(2, 8).map(lambda n: 2 * n)),
+           data=st.data())
+    def test_avg_pool2_equals_block_mean(self, shape, data):
+        # numpy's mean over a C-ordered block adds (00 + 01) + (10 + 11)
+        # once the rows are at least 4 wide; at width 2, or in another
+        # layout, it adds in another order (see test_avg_pool2_any_layout)
+        x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            -1e300, 1e300, allow_nan=False)))
+        bn, c, h, w = shape
+        want = x.reshape(bn, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        np.testing.assert_array_equal(avg_pool2(Tensor(x)).data, want)
+
+    @pytest.mark.parametrize("w", [2, 8])
+    def test_avg_pool2_any_layout(self, w):
+        # the pooled bits depend on the values only, not on the layout
+        # (read_image returns (H, W, 3)-ordered memory) or the width
+        x = rand((2, 3, 6, w), seed=18)
+        hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+            0, 3, 1, 2)
+        want = ((x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2])
+                + (x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2])) / 4.0
+        for arr in (x, hwc):
+            np.testing.assert_array_equal(avg_pool2(Tensor(arr)).data, want)
 
     def test_detach_cuts_graph(self):
         x = Tensor(rand((3,)), requires_grad=True)
