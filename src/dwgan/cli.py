@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datatool, hazesim
-from .metrics import ms_ssim, psnr, ssim
+from .metrics import MsSsimConfig, fit_levels, ms_ssim, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, load_generator
 from .tensor import Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
@@ -89,24 +89,32 @@ def cmd_dwt(args) -> int:
 _METRIC_FIELDS = ["filename", "psnr_db", "ssim", "ms_ssim"]
 
 
-def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray) -> dict:
-    return {
+def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
+                 ms_cfgs: dict) -> dict:
+    """One metrics.csv row. ``ms_cfgs`` maps an image size to the MS-SSIM
+    config fitted to it, so a command fits (and warns about a level
+    reduction) once per size rather than once per pair."""
+    row = {
         "filename": filename,
         "psnr_db": f"{psnr(pred, tgt):.6f}",
         "ssim": f"{ssim(pred[None], tgt[None])[0]:.6f}",
-        "ms_ssim": f"{ms_ssim(pred[None], tgt[None]):.6f}",
     }
+    size = pred.shape[1:]
+    if size not in ms_cfgs:
+        ms_cfgs[size] = fit_levels(MsSsimConfig(), *size)
+    row["ms_ssim"] = f"{ms_ssim(pred[None], tgt[None], ms_cfgs[size]):.6f}"
+    return row
 
 
 def cmd_metrics(args) -> int:
     if len(args.images) % 2:
         raise ValueError("metrics expects PRED TARGET file pairs")
-    rows = []
+    rows, ms_cfgs = [], {}
     for i in range(0, len(args.images), 2):
         pred_path, tgt_path = args.images[i], args.images[i + 1]
         rows.append(_metrics_row(Path(pred_path).name,
                                  datatool.read_image(pred_path),
-                                 datatool.read_image(tgt_path)))
+                                 datatool.read_image(tgt_path), ms_cfgs))
     _write_csv(args.out, _METRIC_FIELDS, rows)
     return 0
 
@@ -221,7 +229,7 @@ def cmd_dehaze(args) -> int:
     gen, _ = load_generator(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, ms_cfgs = [], {}
     targets = args.target or []
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
@@ -233,7 +241,7 @@ def cmd_dehaze(args) -> int:
         datatool.write_image(out_path, dehazed)
         if targets:
             rows.append(_metrics_row(Path(path).name, dehazed,
-                                     datatool.read_image(targets[i])))
+                                     datatool.read_image(targets[i]), ms_cfgs))
     if rows:
         _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")

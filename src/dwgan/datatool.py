@@ -44,7 +44,8 @@ def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_image(path) -> np.ndarray:
-    """Decode a P6 pixmap to a (3, H, W) float64 array in [0, 1]."""
+    """Decode a P6 pixmap to a C-ordered (3, H, W) float64 array in
+    [0, 1]."""
     buf = Path(path).read_bytes()
     if buf[:2] != b"P6":
         raise PpmParseError(f"expected magic b'P6', got {buf[:2]!r}", 0)
@@ -72,7 +73,7 @@ def read_image(path) -> np.ndarray:
         raise PpmParseError(
             f"truncated payload: got {len(payload)} of {need} bytes", pos)
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return arr.transpose(2, 0, 1).astype(np.float64, order="C") / 255.0
 
 
 def write_image(path, img: np.ndarray) -> None:

@@ -105,14 +105,14 @@ def invert_haze(hazy: np.ndarray, t: np.ndarray, a: np.ndarray,
 
 def _ramp_field(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     theta = rng.uniform(0, 2 * np.pi)
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     f = np.cos(theta) * xx / max(w - 1, 1) + np.sin(theta) * yy / max(h - 1, 1)
     return f
 
 
 def _radial_field(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     cy, cx = rng.uniform(0.2, 0.8) * h, rng.uniform(0.2, 0.8) * w
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     return np.hypot((yy - cy) / h, (xx - cx) / w)
 
 
@@ -125,12 +125,12 @@ def _smooth_noise(rng: np.random.Generator, h: int, w: int,
     x0 = np.clip(xs.astype(int), 0, cells - 2)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    c00 = coarse[np.ix_(y0, x0)]
-    c01 = coarse[np.ix_(y0, x0 + 1)]
-    c10 = coarse[np.ix_(y0 + 1, x0)]
-    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
-    return (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
-            + c10 * fy * (1 - fx) + c11 * fy * fx)
+    # weight the (h, cells) coarse rows, then gather columns: each
+    # element is the product (c * wy) * wx of the bilinear formula
+    top = coarse[y0] * (1 - fy)
+    bottom = coarse[y0 + 1] * fy
+    return (top[:, x0] * (1 - fx) + top[:, x0 + 1] * fx
+            + bottom[:, x0] * (1 - fx) + bottom[:, x0 + 1] * fx)
 
 
 def _to_unit(f: np.ndarray) -> np.ndarray:
@@ -171,7 +171,7 @@ def nonhomogeneous_field(rng: np.random.Generator, h: int, w: int,
     if h < 8 or w < 8:
         raise ValueError("field must be at least 8x8")
     field = np.zeros((h, w))
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     for _ in range(blobs):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         sy = rng.uniform(0.08, 0.35) * h
@@ -185,7 +185,7 @@ def checkerboard(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     cell = int(rng.integers(4, max(5, h // 4)))
     c0 = rng.uniform(0.05, 0.95, size=3)
     c1 = rng.uniform(0.05, 0.95, size=3)
-    yy, xx = np.mgrid[0:h, 0:w]
+    yy, xx = np.ogrid[0:h, 0:w]
     mask = ((yy // cell + xx // cell) % 2).astype(np.float64)
     return c0[:, None, None] * (1 - mask) + c1[:, None, None] * mask
 

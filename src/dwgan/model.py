@@ -78,10 +78,6 @@ class Module:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
-
     def num_parameters(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
 

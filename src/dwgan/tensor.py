@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -835,24 +836,31 @@ def save_tensor(path, t: Tensor) -> None:
 
 def load_tensor(path) -> Tensor:
     """Read a save_tensor file; anything but that exact layout (bad magic,
-    a short header or payload, bytes after the payload) is a ValueError."""
+    a short header or payload, bytes after the payload) is a ValueError.
+
+    The sizes are checked against the file's length before anything is
+    allocated, and the payload is read straight into the result."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _MAGIC:
-        raise ValueError(f"bad magic {buf[:4]!r}, expected {_MAGIC!r}")
-    if len(buf) < 8:
-        raise ValueError(f"truncated header: got {len(buf)} of 8 bytes")
-    (rank,) = struct.unpack("<I", buf[4:8])
-    head = 8 + 4 * rank
-    if len(buf) < head:
-        raise ValueError(f"truncated header: got {len(buf)} of {head} bytes")
-    shape = struct.unpack(f"<{rank}I", buf[8:head])
-    nbytes = 8 * math.prod(shape)
-    if len(buf) - head < nbytes:
-        raise ValueError(
-            f"truncated payload: got {len(buf) - head} of {nbytes} bytes")
-    if len(buf) - head > nbytes:
-        raise ValueError(
-            f"size mismatch: {len(buf) - head - nbytes} bytes after the payload")
-    arr = np.frombuffer(buf, dtype="<f8", offset=head).reshape(shape)
-    return Tensor(arr.copy())
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        if prefix[:4] != _MAGIC:
+            raise ValueError(f"bad magic {prefix[:4]!r}, expected {_MAGIC!r}")
+        if size < 8:
+            raise ValueError(f"truncated header: got {size} of 8 bytes")
+        (rank,) = struct.unpack("<I", prefix[4:8])
+        head = 8 + 4 * rank
+        if size < head:
+            raise ValueError(f"truncated header: got {size} of {head} bytes")
+        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        nbytes = 8 * math.prod(shape)
+        if size - head < nbytes:
+            raise ValueError(
+                f"truncated payload: got {size - head} of {nbytes} bytes")
+        if size - head > nbytes:
+            raise ValueError(
+                f"size mismatch: {size - head - nbytes} bytes after the payload")
+        arr = np.empty(shape, dtype="<f8")
+        got = fh.readinto(arr)
+    if got != nbytes:
+        raise ValueError(f"truncated payload: got {got} of {nbytes} bytes")
+    return Tensor(arr)

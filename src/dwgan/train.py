@@ -249,7 +249,15 @@ def train_gan(gen: Generator, disc: Discriminator | None,
             d_loss.backward()
             disc_opt.step(lr)
             disc_opt.zero_grad()
-            d_out = disc(pred)
+            # D only passes the gradient on to pred here: recording its
+            # parameters would compute weight gradients nothing reads
+            for param in disc_opt.params.values():
+                param.requires_grad = False
+            try:
+                d_out = disc(pred)
+            finally:
+                for param in disc_opt.params.values():
+                    param.requires_grad = True
         else:
             d_out = None
 
@@ -261,8 +269,6 @@ def train_gan(gen: Generator, disc: Discriminator | None,
         loss.backward()
         gen_opt.step(lr)
         gen_opt.zero_grad()
-        if disc is not None:
-            disc.zero_grad()
 
         row = {"step": step, "lr": lr, **breakdown}
         log_rows.append(row)

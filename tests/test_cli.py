@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -6,12 +7,47 @@ import pytest
 
 from dwgan.cli import main
 from dwgan.datatool import read_image, write_image
+from dwgan.metrics import ms_ssim, psnr, ssim
+from dwgan.tensor import Tensor, no_grad
 from dwgan.model import (Discriminator, Generator, ModelConfig,
                          load_checkpoint, save_checkpoint)
 
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def write_96px_pairs(tmp_path, n=2):
+    # 96 px is too small for the 5-level MS-SSIM pyramid, so scoring it
+    # reduces the levels to 4 and warns
+    rng = np.random.default_rng(4)
+    pairs = []
+    for k in range(n):
+        hazy, clear = tmp_path / f"hazy_{k}.ppm", tmp_path / f"clear_{k}.ppm"
+        write_image(hazy, rng.uniform(0, 1, (3, 96, 96)))
+        write_image(clear, rng.uniform(0, 1, (3, 96, 96)))
+        pairs.append((hazy, clear))
+    return pairs
+
+
+def per_pair_csv(rows) -> bytes:
+    # metrics.csv as a direct call per (filename, pred, target) row, each
+    # with the default MS-SSIM config, writes it
+    fh = io.StringIO(newline="")
+    writer = csv.DictWriter(fh, ["filename", "psnr_db", "ssim", "ms_ssim"])
+    writer.writeheader()
+    for filename, pred, tgt in rows:
+        writer.writerow({
+            "filename": filename,
+            "psnr_db": f"{psnr(pred, tgt):.6f}",
+            "ssim": f"{ssim(pred[None], tgt[None])[0]:.6f}",
+            "ms_ssim": f"{ms_ssim(pred[None], tgt[None]):.6f}",
+        })
+    return fh.getvalue().encode()
+
+
+def level_warnings(caplog) -> int:
+    return sum("reducing levels" in r.getMessage() for r in caplog.records)
 
 
 class TestSynthesize:
@@ -82,6 +118,19 @@ class TestMetrics:
         assert rows[0]["filename"] == "a.ppm"
         assert float(rows[0]["psnr_db"]) == 100.0
         assert float(rows[0]["ssim"]) == 1.0
+
+    def test_level_reduction_warned_once(self, tmp_path, caplog):
+        pairs = write_96px_pairs(tmp_path)
+        out = tmp_path / "m.csv"
+        with caplog.at_level("WARNING", logger="dwgan.metrics"):
+            assert main(["metrics", *(str(p) for pair in pairs for p in pair),
+                         "--out", str(out)]) == 0
+            assert level_warnings(caplog) == 1
+            caplog.clear()
+            assert out.read_bytes() == per_pair_csv(
+                (h.name, read_image(h), read_image(c)) for h, c in pairs)
+            # a direct call fits its own levels, and still warns
+            assert level_warnings(caplog) == len(pairs)
 
     def test_odd_argument_count_errors(self, tmp_path):
         a = tmp_path / "a.ppm"
@@ -159,6 +208,24 @@ class TestTrainDehaze:
         assert rc == 1 and "'base_chanels'" in err
         rc, err = train("steps = two\n" + base)
         assert rc == 1 and "steps" in err
+
+    def test_dehaze_target_warns_once(self, tmp_path, caplog):
+        ckpt = tmp_path / "ckpt"
+        gen = Generator(ModelConfig(base_channels=4, depth=1), seed=0)
+        save_checkpoint(ckpt, gen)
+        pairs = write_96px_pairs(tmp_path)
+        out = tmp_path / "o"
+        with caplog.at_level("WARNING", logger="dwgan.metrics"):
+            assert main(["dehaze", *(str(h) for h, _ in pairs),
+                         "--checkpoint", str(ckpt),
+                         "--target", *(str(c) for _, c in pairs),
+                         "--out", str(out)]) == 0
+        assert level_warnings(caplog) == 1
+        with no_grad():
+            dehazed = [gen(Tensor(read_image(h)[None])).data[0]
+                       for h, _ in pairs]
+        assert (out / "metrics.csv").read_bytes() == per_pair_csv(
+            (h.name, d, read_image(c)) for (h, c), d in zip(pairs, dehazed))
 
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"

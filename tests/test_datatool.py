@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwgan import datatool
+from dwgan.metrics import ms_ssim, ssim
 from dwgan.datatool import (BrightnessMatch, PpmParseError, corrected_mean,
                             gamma_correct, match_brightness, read_image,
                             write_image)
@@ -23,6 +24,28 @@ class TestPpmIo:
         img = np.arange(48, dtype=np.float64).reshape(3, 4, 4) / 255.0
         write_image(tmp_path / "a.ppm", img)
         np.testing.assert_array_equal(read_image(tmp_path / "a.ppm"), img)
+
+    def test_read_is_c_ordered(self, tmp_path):
+        write_image(tmp_path / "a.ppm", rand_img(3, 9, 14))
+        img = read_image(tmp_path / "a.ppm")
+        assert img.shape == (3, 9, 14) and img.dtype == np.float64
+        assert img.flags.c_contiguous
+
+    def test_scores_independent_of_layout(self, tmp_path):
+        # SSIM and MS-SSIM give the same bits on a read image and on an
+        # (H, W, 3)-ordered view of it, the file's own pixel order
+        write_image(tmp_path / "a.ppm", rand_img(4, 64, 48))
+        write_image(tmp_path / "b.ppm", rand_img(5, 64, 48))
+        a, b = read_image(tmp_path / "a.ppm"), read_image(tmp_path / "b.ppm")
+        a_hwc, b_hwc = (x.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+                        for x in (a, b))
+        assert not a_hwc.flags.c_contiguous
+        np.testing.assert_array_equal(a_hwc, a)
+        value, smap = ssim(a[None], b[None])
+        value_hwc, smap_hwc = ssim(a_hwc[None], b_hwc[None])
+        assert value == value_hwc
+        assert smap.tobytes() == smap_hwc.tobytes()
+        assert ms_ssim(a[None], b[None]) == ms_ssim(a_hwc[None], b_hwc[None])
 
     def test_header_comments_skipped(self, tmp_path):
         payload = bytes(range(12))

@@ -101,6 +101,78 @@ class TestNonhomogeneousField:
             hazesim.nonhomogeneous_field(np.random.default_rng(9), 4, 16)
 
 
+# Full-grid references for the hazesim fields, which build their
+# coordinates as (H, 1) and (1, W) factors: each element goes through the
+# same operations in the same order, so the two must agree bit for bit.
+
+def _grid_ramp(rng, h, w):
+    theta = rng.uniform(0, 2 * np.pi)
+    yy, xx = np.mgrid[0:h, 0:w]
+    return np.cos(theta) * xx / max(w - 1, 1) + np.sin(theta) * yy / max(h - 1, 1)
+
+
+def _grid_radial(rng, h, w):
+    cy, cx = rng.uniform(0.2, 0.8) * h, rng.uniform(0.2, 0.8) * w
+    yy, xx = np.mgrid[0:h, 0:w]
+    return np.hypot((yy - cy) / h, (xx - cx) / w)
+
+
+def _grid_smooth_noise(rng, h, w, cells=4):
+    coarse = rng.standard_normal((cells, cells))
+    ys = np.linspace(0, cells - 1, h)
+    xs = np.linspace(0, cells - 1, w)
+    y0 = np.clip(ys.astype(int), 0, cells - 2)
+    x0 = np.clip(xs.astype(int), 0, cells - 2)
+    fy = (ys - y0)[:, None]
+    fx = (xs - x0)[None, :]
+    c00 = coarse[np.ix_(y0, x0)]
+    c01 = coarse[np.ix_(y0, x0 + 1)]
+    c10 = coarse[np.ix_(y0 + 1, x0)]
+    c11 = coarse[np.ix_(y0 + 1, x0 + 1)]
+    return (c00 * (1 - fy) * (1 - fx) + c01 * (1 - fy) * fx
+            + c10 * fy * (1 - fx) + c11 * fy * fx)
+
+
+def _grid_nonhomogeneous(rng, h, w, blobs=6):
+    field = np.zeros((h, w))
+    yy, xx = np.mgrid[0:h, 0:w]
+    for _ in range(blobs):
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        sy = rng.uniform(0.08, 0.35) * h
+        sx = rng.uniform(0.08, 0.35) * w
+        amp = rng.uniform(0.3, 0.9)
+        field += amp * np.exp(-(((yy - cy) / sy) ** 2 + ((xx - cx) / sx) ** 2))
+    return np.clip(field, 0.0, 1.0)
+
+
+def _grid_checkerboard(rng, h, w):
+    cell = int(rng.integers(4, max(5, h // 4)))
+    c0 = rng.uniform(0.05, 0.95, size=3)
+    c1 = rng.uniform(0.05, 0.95, size=3)
+    yy, xx = np.mgrid[0:h, 0:w]
+    mask = ((yy // cell + xx // cell) % 2).astype(np.float64)
+    return c0[:, None, None] * (1 - mask) + c1[:, None, None] * mask
+
+
+class TestFactoredFields:
+    @pytest.mark.parametrize("size", [(8, 8), (8, 21), (33, 10), (17, 17),
+                                      (64, 48)])
+    @pytest.mark.parametrize("field, reference", [
+        (hazesim._ramp_field, _grid_ramp),
+        (hazesim._radial_field, _grid_radial),
+        (hazesim._smooth_noise, _grid_smooth_noise),
+        (lambda rng, h, w: hazesim._smooth_noise(rng, h, w, cells=6),
+         lambda rng, h, w: _grid_smooth_noise(rng, h, w, cells=6)),
+        (hazesim.nonhomogeneous_field, _grid_nonhomogeneous),
+        (hazesim.checkerboard, _grid_checkerboard),
+    ])
+    def test_equals_full_grid(self, field, reference, size):
+        for seed in range(5):
+            got = field(np.random.default_rng(seed), *size)
+            want = reference(np.random.default_rng(seed), *size)
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
 class TestMakeDataset:
     def make(self, n, mode, seed=0):
         rng = np.random.default_rng(seed)

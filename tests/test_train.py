@@ -185,6 +185,28 @@ class TestTrainGan:
         assert [e.step for e in res.evals] == [25, 50]
         assert (tmp_path / "log.csv").exists()
 
+    def test_discriminator_grads_not_computed_for_generator(self,
+                                                          monkeypatch):
+        # the adversarial term passes D's gradient on to the generator's
+        # output only: D's weights hold no gradient when G's Adam steps
+        cfg = small_model_cfg()
+        gen, disc = Generator(cfg, seed=0), Discriminator(cfg, seed=1)
+        gen_ids = {id(p) for p in gen.parameters().values()}
+        disc_params = disc.parameters()
+        held = []
+        adam_step = Adam.step
+
+        def step(opt, lr):
+            if {id(p) for p in opt.params.values()} == gen_ids:
+                held.append([n for n, p in disc_params.items()
+                             if p.grad is not None])
+            adam_step(opt, lr)
+
+        monkeypatch.setattr(Adam, "step", step)
+        train_gan(gen, disc, small_dataset(), smoke_cfg(total_steps=3))
+        assert held == [[], [], []]
+        assert disc.parameters().keys() == disc_params.keys()
+
     def test_ms_ssim_reduction_warned_once(self, caplog):
         gen = Generator(small_model_cfg(), seed=0)
         with caplog.at_level("WARNING", logger="dwgan.metrics"):
