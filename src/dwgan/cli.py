@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datatool, hazesim
-from .metrics import MsSsimConfig, fit_levels, ms_ssim, psnr, ssim
+from .metrics import MsSsimConfig, fit_levels, psnr, ssim_and_ms_ssim
 from .model import Discriminator, Generator, ModelConfig, load_generator
 from .tensor import Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
@@ -93,17 +93,15 @@ def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
                  ms_cfgs: dict) -> dict:
     """One metrics.csv row. ``ms_cfgs`` maps an image size to the MS-SSIM
     config fitted to it, so a command fits (and warns about a level
-    reduction) once per size rather than once per pair."""
-    row = {
-        "filename": filename,
-        "psnr_db": f"{psnr(pred, tgt):.6f}",
-        "ssim": f"{ssim(pred[None], tgt[None])[0]:.6f}",
-    }
+    reduction) once per size rather than once per pair. SSIM and MS-SSIM
+    share their level-0 maps (``ssim_and_ms_ssim``)."""
+    psnr_db = psnr(pred, tgt)
     size = pred.shape[1:]
     if size not in ms_cfgs:
         ms_cfgs[size] = fit_levels(MsSsimConfig(), *size)
-    row["ms_ssim"] = f"{ms_ssim(pred[None], tgt[None], ms_cfgs[size]):.6f}"
-    return row
+    s, ms = ssim_and_ms_ssim(pred[None], tgt[None], ms_cfgs[size])
+    return {"filename": filename, "psnr_db": f"{psnr_db:.6f}",
+            "ssim": f"{s:.6f}", "ms_ssim": f"{ms:.6f}"}
 
 
 def cmd_metrics(args) -> int:

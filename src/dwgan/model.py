@@ -82,11 +82,21 @@ class Module:
         return sum(p.size for _, p in self.named_parameters())
 
 
+def _unset(*shape: int) -> np.ndarray:
+    """The stand-in for a parameter the caller overwrites (the checkpoint
+    loader): a read-only zero view of ``shape`` that allocates nothing, so
+    a config with absurd widths fails on a file's header, not in malloc."""
+    try:
+        return np.broadcast_to(np.float64(0.0), shape)
+    except ValueError:
+        raise ValueError(f"parameter shape {shape} is too large for an "
+                         "array") from None
+
+
 def _kaiming(rng: np.random.Generator | None, cout: int, cin: int, kh: int,
              kw: int) -> np.ndarray:
     if rng is None:
-        # allocated only: the caller overwrites every weight
-        return np.empty((cout, cin, kh, kw))
+        return _unset(cout, cin, kh, kw)
     bound = np.sqrt(6.0 / (cin * kh * kw))
     return rng.uniform(-bound, bound, size=(cout, cin, kh, kw))
 
@@ -97,7 +107,9 @@ class Conv(Module):
         self.stride = stride
         self.padding = (k - 1) // 2 if padding is None else padding
         self.weight = Tensor(_kaiming(rng, cout, cin, k, k), requires_grad=True)
-        self.bias = Tensor(np.zeros((1, cout, 1, 1)), requires_grad=True) if bias else None
+        self.bias = None if not bias else Tensor(
+            _unset(1, cout, 1, 1) if rng is None else np.zeros((1, cout, 1, 1)),
+            requires_grad=True)
 
     def __call__(self, *xs: Tensor) -> Tensor:
         """The conv of the join of ``xs`` along the channels."""
@@ -282,9 +294,10 @@ class KaBranch(Module):
 
 
 class Generator(Module):
-    """The dehazing generator. ``draw=False`` allocates its conv weights
-    without drawing them, for a caller that overwrites every parameter (the
-    checkpoint loader); the encoder is still drawn from ``encoder_seed``."""
+    """The dehazing generator. ``draw=False`` neither draws nor allocates
+    its conv weights and biases (each is a read-only zero view), for a
+    caller that overwrites every parameter (the checkpoint loader); the
+    encoder is still drawn from ``encoder_seed``."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, *, draw: bool = True):
         self.cfg = cfg
@@ -310,7 +323,7 @@ class Discriminator(Module):
     """Patch discriminator: four stride-2 conv stages (leaky ReLU 0.2)
     followed by a 1x1 conv and sigmoid, giving one probability per
     H/16 x W/16 patch. Receptive field is 46 px at these kernel sizes.
-    ``draw=False`` allocates the weights without drawing them, as for the
+    ``draw=False`` neither draws nor allocates the weights, as for the
     generator."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 1, *, draw: bool = True):
@@ -362,10 +375,7 @@ def _load_params(module: Module, directory: Path) -> None:
         path = directory / f"{name}.bin"
         if not path.is_file():
             raise ValueError(f"{path}: missing; the manifest's config needs it")
-        loaded = load_tensor(path)
-        if loaded.shape != p.shape:
-            raise ValueError(f"{name}: file shape {loaded.shape} != {p.shape}")
-        p.data = loaded.data
+        p.data = load_tensor(path, shape=p.shape).data
 
 
 def _fits(default, value) -> bool:

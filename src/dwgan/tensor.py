@@ -16,13 +16,21 @@ Conventions, fixed once and used everywhere:
 The engine is eager: every operation on a gradient-requiring tensor records
 its backward closure immediately. There is no graph optimization.
 
+The ops, 20 in all: pointwise ``add``, ``mul``, ``div``, ``power``,
+``relu``, ``leaky_relu``, ``sigmoid``, ``log``, ``absval``, ``clip_min``;
+reductions ``tsum``, ``tmean``, ``spatial_mean``; structural ``reshape``,
+``subsample2``, ``interleave2``, ``pixel_shuffle``, ``avg_pool2``; and the
+filters ``conv2d`` (the model's convolutions) and ``window`` (a separable
+per-plane filter, SSIM's Gaussian window). ``no_grad`` is not an op.
+
 The graph holds no forward data. A tensor that requires a gradient carries
 a small ``_Node``: its gradient, its parents' nodes and its closure. A
 closure keeps only the arrays its backward reads (relu's mask, the other
-operand of a ``mul``, a conv's input windows and kernel; only shapes for
-``add``, ``reshape`` and the like) and returns one gradient per parent,
-None where that parent needs none. So an intermediate's array is freed as
-soon as the model code drops the tensor, unless a closure kept it.
+operand of a ``mul``, a conv's input windows and kernel, a window's band
+matrix; only shapes for ``add``, ``reshape`` and the like) and returns one
+gradient per parent, None where that parent needs none. So an
+intermediate's array is freed as soon as the model code drops the tensor,
+unless a closure kept it.
 
 No op joins tensors: a conv reads a join along the channels from its
 parts, given as a ``Channels`` (see ``conv2d``).
@@ -777,6 +785,67 @@ def avg_pool2(x) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+# window() filters this many output rows (then columns) per product
+_WINDOW_ROWS = 32
+
+
+def window(x, taps) -> Tensor:
+    """The valid correlation of each (H, W) plane of a rank-4 tensor with
+    the 1-D ``taps``, along H and then along W: for k taps the result is
+    the (B, C, H - k + 1, W - k + 1) array
+
+        out[b, c, i, j] = sum over s, t of taps[s] * taps[t] * x[b, c, i + s, j + t]
+
+    A block of ``_WINDOW_ROWS`` output rows at a time is filtered along H
+    as one batched matmul with the (R, R + k - 1) band matrix whose row r
+    holds the taps in columns r..r + k - 1, and then along W,
+    ``_WINDOW_ROWS`` columns at a time, with the transposed band. The band
+    is built once per call; a tail block uses its leading sub-block. Only
+    one block's H pass is held at a time, so the result is the one array
+    as large as the input. The backward applies the transposed blocks in
+    the same order and adds where they overlap; the closure keeps only the
+    band and the shapes. The input is read in C order, so its layout does
+    not change the sums."""
+    x = _coerce(x)
+    taps = np.asarray(taps, dtype=np.float64)
+    if x.data.ndim != 4 or taps.ndim != 1 or taps.size < 1:
+        raise ShapeError(f"window expects a rank-4 input and 1-D taps, "
+                         f"got {x.shape} and {taps.shape}")
+    bn, c, h, w = x.shape
+    k = taps.size
+    ho, wo = h - k + 1, w - k + 1
+    if ho < 1 or wo < 1:
+        raise ShapeError(f"input {h}x{w} smaller than {k} taps")
+    r = min(_WINDOW_ROWS, max(ho, wo))
+    band = np.zeros((r, r + k - 1))
+    idx = np.arange(r)
+    for t, v in enumerate(taps):
+        band[idx, idx + t] = v
+    row_blocks = [(s, min(r, ho - s)) for s in range(0, ho, r)]
+    col_blocks = [(s, min(r, wo - s)) for s in range(0, wo, r)]
+
+    xd = np.ascontiguousarray(x.data)
+    data = np.empty((bn, c, ho, wo))
+    for s, n in row_blocks:
+        rows = band[:n, :n + k - 1] @ xd[:, :, s:s + n + k - 1]
+        for t, m in col_blocks:
+            np.matmul(rows[..., t:t + m + k - 1], band[:m, :m + k - 1].T,
+                      out=data[:, :, s:s + n, t:t + m])
+
+    def bwd(g):
+        g = np.ascontiguousarray(g)
+        gx = np.zeros((bn, c, h, w))
+        for s, n in row_blocks:
+            grows = np.zeros((bn, c, n, w))
+            for t, m in col_blocks:
+                grows[..., t:t + m + k - 1] += \
+                    g[:, :, s:s + n, t:t + m] @ band[:m, :m + k - 1]
+            gx[:, :, s:s + n + k - 1] += band[:n, :n + k - 1].T @ grows
+        return (gx,)
+
+    return _make(data, (x,), bwd)
+
+
 # -- gradient verification ---------------------------------------------------
 
 @dataclass
@@ -834,12 +903,14 @@ def save_tensor(path, t: Tensor) -> None:
         fh.write(arr.astype("<f8").tobytes())
 
 
-def load_tensor(path) -> Tensor:
+def load_tensor(path, shape: tuple[int, ...] | None = None) -> Tensor:
     """Read a save_tensor file; anything but that exact layout (bad magic,
-    a short header or payload, bytes after the payload) is a ValueError.
+    a short header or payload, bytes after the payload) is a ValueError,
+    and so is a header of another shape than ``shape`` when it is given.
 
-    The sizes are checked against the file's length before anything is
-    allocated, and the payload is read straight into the result."""
+    The header is checked against ``shape`` and the sizes against the
+    file's length before anything is allocated, and the payload is read
+    straight into the result."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(8)
@@ -851,15 +922,17 @@ def load_tensor(path) -> Tensor:
         head = 8 + 4 * rank
         if size < head:
             raise ValueError(f"truncated header: got {size} of {head} bytes")
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        nbytes = 8 * math.prod(shape)
+        got_shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        if shape is not None and got_shape != tuple(shape):
+            raise ValueError(f"{path}: shape {got_shape} != expected {tuple(shape)}")
+        nbytes = 8 * math.prod(got_shape)
         if size - head < nbytes:
             raise ValueError(
                 f"truncated payload: got {size - head} of {nbytes} bytes")
         if size - head > nbytes:
             raise ValueError(
                 f"size mismatch: {size - head - nbytes} bytes after the payload")
-        arr = np.empty(shape, dtype="<f8")
+        arr = np.empty(got_shape, dtype="<f8")
         got = fh.readinto(arr)
     if got != nbytes:
         raise ValueError(f"truncated payload: got {got} of {nbytes} bytes")

@@ -6,7 +6,8 @@ import pytest
 from dwgan import tensor
 from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, MsSsimConfig, SsimConfig,
                            fit_levels, gaussian_window, gray_stats, ms_ssim,
-                           ms_ssim_tensor, psnr, ssim, ssim_components)
+                           ms_ssim_tensor, psnr, ssim, ssim_and_ms_ssim,
+                           ssim_components)
 from dwgan.tensor import ShapeError, Tensor, avg_pool2, clip_min, power
 
 
@@ -135,6 +136,19 @@ class TestMsSsim:
         with pytest.raises(ShapeError):
             ms_ssim(x, x)
 
+    @pytest.mark.parametrize("shape, weights", [
+        ((1, 3, 64, 64), DEFAULT_MSSSIM_WEIGHTS[:3]),
+        ((1, 3, 176, 176), DEFAULT_MSSSIM_WEIGHTS),
+        ((2, 1, 16, 16), (1.0,)),
+        ((1, 3, 16, 16), (0.3,)),
+    ])
+    def test_shared_level0_keeps_the_bits(self, shape, weights):
+        cfg = MsSsimConfig(weights=weights)
+        a = rand_img(shape, 18)
+        b = np.clip(a + rand_img(shape, 19, -0.3, 0.3), 0, 1)
+        assert ssim_and_ms_ssim(a, b, cfg) == (ssim(a, b, cfg.ssim)[0],
+                                               ms_ssim(a, b, cfg))
+
     def test_bounded(self):
         for seed in range(4):
             a = rand_img((1, 1, 32, 32), 30 + seed)
@@ -184,9 +198,10 @@ class TestWorkingSet:
         np.testing.assert_array_equal(a.grad, a_ref.grad)
 
     def test_ssim_peak_is_seven_maps(self):
-        # a filter pass also holds one im2col band; keeping every moment
-        # and product map to the end peaked at 4.56 MB here, about 10.5
-        # maps plus the band
+        # seven maps plus one im2col band of slack, although the window
+        # filter builds none (peak 2.28 MB here, about 6.8 maps); keeping
+        # every moment and product map to the end peaked at 4.56 MB here,
+        # about 10.5 maps plus the band
         x = rand_img((1, 3, 128, 128), 52)
         y = np.clip(x + rand_img(x.shape, 53, -0.2, 0.2), 0, 1)
         want = ssim(x, y)[0]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,39 @@ class TestCheckpoint:
         with pytest.raises((FileNotFoundError, ValueError)):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("config", [
+        {"depth": 30}, {"depth": 12, "base_channels": 64},
+        {"depth": 64, "base_channels": 64},
+    ], ids=["depth30", "depth12_base64", "depth64_base64"])
+    def test_huge_config_fails_before_allocating(self, tmp_path, config):
+        # such configs give weights that double per level; the loader must
+        # allocate no weight or bias until its file's header has the
+        # config's shape, and fail with a ValueError, not a MemoryError
+        save_checkpoint(tmp_path, Generator(small_cfg(), seed=0),
+                        Discriminator(small_cfg(), seed=1))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"].update(config)
+        path.write_text(json.dumps(manifest))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_checkpoint(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
+    def test_undrawn_parameters_allocate_nothing(self):
+        tracemalloc.start()
+        try:
+            gen = Generator(small_cfg(depth=12, base_channels=64), draw=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.data.size for p in gen.parameters().values()) * 8
+        assert weights > 2 ** 40 and peak < 2 ** 20, (weights, peak)
+
     def test_missing_disc_file_errors(self, tmp_path):
         # the discriminator is allocated undrawn too, so a weight with no
         # file must still fail, not load as uninitialized memory
@@ -298,10 +332,11 @@ class TestCheckpoint:
             load_checkpoint(tmp_path)
 
 
-# JSON values whose integers stay small: a config the loader accepts then
-# builds a small generator (a large depth or width allocates accordingly)
+# JSON values with integers up to 64: a depth or width that large passes
+# ModelConfig, and the loader must fail on the files' headers before it
+# allocates weights that double per level
 _json = st.recursive(
-    st.none() | st.booleans() | st.integers(-1, 4)
+    st.none() | st.booleans() | st.integers(-1, 64)
     | st.floats(allow_nan=True) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=12), inner, max_size=4),
@@ -336,8 +371,8 @@ class TestCheckpointProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), value=st.one_of(
-        st.integers(-1, 4), st.booleans(),
-        st.lists(st.integers(-1, 4), max_size=4), _json))
+        st.integers(-1, 64), st.booleans(),
+        st.lists(st.integers(-1, 64), max_size=4), _json))
     def test_any_value_for_a_key(self, fuzz_ckpt, data, value):
         directory, manifest = fuzz_ckpt
         manifest = json.loads(json.dumps(manifest))

@@ -12,7 +12,7 @@ from dwgan.tensor import (Channels, GradCheckReport, ShapeError, Tensor, add,
                           avg_pool2, conv2d, div, grad_check, interleave2,
                           leaky_relu, load_tensor, mul, no_grad,
                           pixel_shuffle, relu, reshape, save_tensor, sigmoid,
-                          spatial_mean, subsample2)
+                          spatial_mean, subsample2, window)
 
 
 def rand(shape, seed=0):
@@ -590,6 +590,99 @@ class TestGradCheck:
         assert rep.passed, rep.max_rel_err
 
 
+def window_loop(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Per-pixel float64 oracle: each output pixel is its k x k patch
+    weighted by the outer product of the taps."""
+    k = taps.size
+    bn, c, h, w = x.shape
+    win = np.outer(taps, taps)
+    out = np.empty((bn, c, h - k + 1, w - k + 1))
+    for i in range(h - k + 1):
+        for j in range(w - k + 1):
+            out[:, :, i, j] = (win * x[:, :, i:i + k, j:j + k]).sum(axis=(2, 3))
+    return out
+
+
+def window_by_conv(x: Tensor, taps: np.ndarray) -> Tensor:
+    """The same filter as the (k, 1) then (1, k) single-channel conv pair."""
+    bn, c, h, w = x.shape
+    cols = conv2d(reshape(x, (bn * c, 1, h, w)),
+                  Tensor(taps.reshape(1, 1, -1, 1)))
+    out = conv2d(cols, Tensor(taps.reshape(1, 1, 1, -1)))
+    return reshape(out, (bn, c) + out.shape[2:])
+
+
+class TestWindow:
+    # output extents drawn from 1..70 cover one partial block, exactly one
+    # 32-row block, and two or three blocks with and without a tail
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([1, 3, 5, 11]),
+           bn=st.integers(1, 2), c=st.integers(1, 3),
+           ho=st.integers(1, 70), wo=st.integers(1, 70),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_conv_pair_and_loop(self, data, k, bn, c, ho, wo, seed):
+        taps = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0, allow_nan=False), min_size=k, max_size=k)))
+        x = np.random.default_rng(seed).uniform(0.0, 1.0,
+                                                (bn, c, ho + k - 1, wo + k - 1))
+        got = window(Tensor(x), taps).data
+        assert got.shape == (bn, c, ho, wo)
+        # each output sums k*k products of magnitude <= 1
+        tol = 1e-14 * k * k
+        np.testing.assert_allclose(got, window_by_conv(Tensor(x), taps).data,
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(got, window_loop(x, taps), rtol=0, atol=tol)
+
+    def test_backward_matches_conv_pair(self):
+        taps = rand((5,), seed=60)
+        x = rand((2, 3, 40, 70), seed=61)
+        g = Tensor(rand((2, 3, 36, 66), seed=62))
+        a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        (window(a, taps) * g).sum().backward()
+        (window_by_conv(b, taps) * g).sum().backward()
+        np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-13)
+
+    def test_grad_check(self):
+        # 34 output rows and columns: a full block and a 2-row tail each way
+        taps = rand((3,), seed=63)
+        g = Tensor(rand((1, 2, 34, 34), seed=64))
+        rep = grad_check(lambda t: (window(t, taps) * g).sum(),
+                         Tensor(rand((1, 2, 36, 36), seed=65)), tol=1e-6)
+        assert rep.passed, rep.max_rel_err
+
+    def test_input_freed_before_backward(self):
+        # the closure keeps the band and the shapes, not the input
+        x = Tensor(rand((1, 2, 40, 40), seed=66), requires_grad=True)
+        y = x * 2.0
+        ref = weakref.ref(y.data)
+        taps = rand((5,), seed=67)
+        out = window(y, taps)
+        del y
+        assert ref() is None
+        out.sum().backward()
+        want = Tensor(x.data, requires_grad=True)
+        window(want * 2.0, taps).sum().backward()
+        np.testing.assert_array_equal(x.grad, want.grad)
+
+    def test_layout_does_not_change_bits(self):
+        x = rand((2, 3, 45, 50), seed=68)
+        # the same values, laid out (H, W, B, C) in memory
+        strided = np.ascontiguousarray(
+            x.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        taps = rand((11,), seed=69)
+        np.testing.assert_array_equal(window(Tensor(strided), taps).data,
+                                      window(Tensor(x), taps).data)
+
+    @pytest.mark.parametrize("shape, taps", [
+        ((1, 1, 4, 12), np.ones(5)), ((1, 1, 12, 4), np.ones(5)),
+        ((1, 12, 12), np.ones(3)), ((1, 1, 8, 8), np.ones((3, 1))),
+        ((1, 1, 8, 8), np.ones(0)),
+    ], ids=["short", "narrow", "rank3", "taps2d", "no_taps"])
+    def test_bad_shapes_rejected(self, shape, taps):
+        with pytest.raises(ShapeError):
+            window(Tensor(np.zeros(shape)), taps)
+
+
 class TestStructural:
     def test_interleave_inverts_subsample(self):
         x = Tensor(rand((1, 2, 6, 6), seed=12))
@@ -671,6 +764,12 @@ class TestSerialization:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError, match="size mismatch"):
             load_tensor(tmp_path / "t.bin")
+
+    def test_expected_shape_checked(self, tmp_path):
+        save_tensor(tmp_path / "t.bin", Tensor(rand((2, 3))))
+        assert load_tensor(tmp_path / "t.bin", shape=(2, 3)).shape == (2, 3)
+        with pytest.raises(ValueError, match=r"\(2, 3\) != expected \(3, 2\)"):
+            load_tensor(tmp_path / "t.bin", shape=(3, 2))
 
     def test_rank5_rejected_before_writing(self, tmp_path):
         path = tmp_path / "r5.bin"
