@@ -223,6 +223,25 @@ def cmd_ablate(args) -> int:
 
 # -- dehaze -------------------------------------------------------------------
 
+def _dehaze(gen: Generator, img: np.ndarray) -> np.ndarray:
+    """``gen`` on a (3, H, W) image of any size: reflect-padded at the
+    bottom and right to multiples of ``gen.size_multiple`` m, run whole (not
+    in tiles: channel attention's global mean would tell tiles apart), and
+    cropped back. A side needs one reflection, so at least m/2 + 1 px (9 px
+    by default); an image whose sides are multiples already is not padded."""
+    m = gen.size_multiple
+    _, h, w = img.shape
+    ph, pw = -h % m, -w % m
+    if ph >= h or pw >= w:
+        raise ValueError(f"{h}x{w} image too small: dehaze pads each side "
+                         f"to a multiple of {m} by reflection, which needs "
+                         f"at least {m // 2 + 1} px")
+    if ph or pw:
+        img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="reflect")
+    with no_grad():
+        return gen(Tensor(img[None])).data[0, :, :h, :w]
+
+
 def cmd_dehaze(args) -> int:
     gen, _ = load_generator(args.checkpoint)
     out = Path(args.out)
@@ -232,9 +251,7 @@ def cmd_dehaze(args) -> int:
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
     for i, path in enumerate(args.images):
-        img = datatool.read_image(path)
-        with no_grad():
-            dehazed = gen(Tensor(img[None])).data[0]
+        dehazed = _dehaze(gen, datatool.read_image(path))
         out_path = out / Path(path).name
         datatool.write_image(out_path, dehazed)
         if targets:

@@ -23,7 +23,12 @@ class ToyEncoder:
     """
 
     def __init__(self, channels: tuple[int, ...] = (16, 32, 64, 64),
-                 seed: int = 0, trainable: bool = False):
+                 seed: int = 0, trainable: bool = False, *,
+                 draw: bool = True):
+        """``draw=False`` neither draws nor allocates the weights: each is
+        a read-only zero view, for the checkpoint loader, which overwrites
+        a trainable encoder's weights and draws a frozen one only once the
+        files' headers have confirmed its widths."""
         self.channels = tuple(int(c) for c in channels)
         self.trainable = trainable
         rng = np.random.default_rng(seed)
@@ -32,7 +37,9 @@ class ToyEncoder:
         for cout in self.channels:
             fan_in = cin * 9
             bound = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
+            shape = (cout, cin, 3, 3)
+            w = (rng.uniform(-bound, bound, size=shape) if draw
+                 else np.broadcast_to(np.float64(0.0), shape))
             self.weights.append(Tensor(w, requires_grad=trainable))
             cin = cout
 

@@ -173,19 +173,28 @@ class PlainDown(Module):
 class DwtUp(Module):
     """Double-resolution block: inverse transform over (projected input as
     LL, skip-fed high-frequency bands) alongside a learned pixel-shuffle
-    path, then a mixing conv."""
+    path, then a mixing conv. ``split`` gives the mixing conv's two inputs
+    and ``merge`` runs it, so that a caller can drop the block's input
+    before the full-resolution conv runs."""
 
     def __init__(self, rng, cin: int, cout: int, c_hf: int):
         self.proj = Conv(rng, cin, c_hf, k=1)
         self.up = Conv(rng, cin, cout * 4, k=3)
         self.mix = Conv(rng, c_hf + cout, cout, k=3)
 
-    def __call__(self, x: Tensor,
-                 hf: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+    def split(self, x: Tensor, hf: tuple[Tensor, Tensor, Tensor]
+              ) -> tuple[Tensor, Tensor]:
         # Subbands raises ShapeError unless each hf band has proj(x)'s shape
         freq = idwt2(Subbands(self.proj(x), *hf))
-        learned = pixel_shuffle(self.up(x), 2)
+        del hf  # the bands go before up(x) runs
+        return freq, pixel_shuffle(self.up(x), 2)
+
+    def merge(self, freq: Tensor, learned: Tensor) -> Tensor:
         return relu(self.mix(freq, learned))
+
+    def __call__(self, x: Tensor,
+                 hf: tuple[Tensor, Tensor, Tensor]) -> Tensor:
+        return self.merge(*self.split(x, hf))
 
 
 class PlainUp(Module):
@@ -193,12 +202,26 @@ class PlainUp(Module):
         self.up = Conv(rng, cin, cout * 4, k=3)
         self.mix = Conv(rng, cout, cout, k=3)
 
+    def split(self, x: Tensor, hf=None) -> tuple[Tensor]:
+        return (pixel_shuffle(self.up(x), 2),)
+
+    def merge(self, learned: Tensor) -> Tensor:
+        return relu(self.mix(learned))
+
     def __call__(self, x: Tensor, hf=None) -> Tensor:
-        return relu(self.mix(pixel_shuffle(self.up(x), 2)))
+        return self.merge(*self.split(x, hf))
 
 
 class DwtBranch(Module):
-    """U-Net over the wavelet blocks with per-scale skip connections."""
+    """U-Net over the wavelet blocks with per-scale skip connections.
+
+    The forward drops each map after its last use: the deepest down
+    output, which is no skip, once the middle convs have read it; each hf
+    band once its up stage's inverse transform has run, and each skip
+    after its skip conv (both lists are popped, finest last); and each up
+    stage's input before the stage's mixing conv runs, as the loop rebinds
+    it to the block's ``split``. Under a recorded graph the closures keep
+    what their backward reads anyway."""
 
     def __init__(self, rng, cfg: ModelConfig):
         bc, d = cfg.base_channels, cfg.depth
@@ -229,18 +252,19 @@ class DwtBranch(Module):
         step = 1 << self.depth
         if h % step or w % step:
             raise ShapeError(f"{h}x{w} not divisible by 2^{self.depth}")
-        feats = [relu(self.stem(x))]
+        skips = [relu(self.stem(x))]
         hfs = []
-        cur = feats[0]
         for down in self.downs:
-            cur, hf = down(cur)
-            feats.append(cur)
+            cur, hf = down(skips[-1])
+            skips.append(cur)
             hfs.append(hf)
+        # the deepest map feeds the middle convs, not a skip conv
+        skips.pop()
         cur = relu(self.mid2(relu(self.mid1(cur))))
-        for j, (up, skip) in enumerate(zip(self.ups, self.skips)):
-            i = self.depth - 1 - j
-            cur = up(cur, hfs[i])
-            cur = relu(skip(cur, feats[i]))
+        for up, skip in zip(self.ups, self.skips):
+            cur = up.split(cur, hfs.pop())
+            cur = up.merge(*cur)
+            cur = relu(skip(cur, skips.pop()))
         return cur
 
 
@@ -251,7 +275,8 @@ class KaBranch(Module):
     def __init__(self, rng, cfg: ModelConfig):
         self.encoder = ToyEncoder(channels=cfg.encoder_channels,
                                   seed=cfg.encoder_seed,
-                                  trainable=cfg.encoder_trainable)
+                                  trainable=cfg.encoder_trainable,
+                                  draw=rng is not None)
         if self.encoder.num_stages < 3:
             raise ValueError("knowledge-adaptation encoder needs >= 3 stages")
         ch = list(self.encoder.channels)
@@ -279,15 +304,14 @@ class KaBranch(Module):
             raise ShapeError(
                 f"{h}x{w} not divisible by 2^{self.encoder.num_stages}"
             )
+        # popped, finest last, so each stage goes after its last use
         stages = self.encoder.stages(x)
-        cur = stages[-1]
-        n = len(stages)
-        for j, (up, ca, pa, fuse) in enumerate(
-                zip(self.ups, self.cattn, self.pattn, self.fuse)):
-            skip = stages[n - 2 - j]
+        cur = stages.pop()
+        for up, ca, pa, fuse in zip(self.ups, self.cattn, self.pattn,
+                                    self.fuse):
             cur = pixel_shuffle(up(cur), 2)
             cur = pa(ca(cur))
-            cur = relu(fuse(cur, skip))
+            cur = relu(fuse(cur, stages.pop()))
         cur = pixel_shuffle(self.final_up(cur), 2)
         cur = self.final_pattn(self.final_cattn(cur))
         return relu(self.final_conv(cur))
@@ -295,9 +319,10 @@ class KaBranch(Module):
 
 class Generator(Module):
     """The dehazing generator. ``draw=False`` neither draws nor allocates
-    its conv weights and biases (each is a read-only zero view), for a
-    caller that overwrites every parameter (the checkpoint loader); the
-    encoder is still drawn from ``encoder_seed``."""
+    its conv weights and biases or the encoder's weights (each is a
+    read-only zero view), for a caller that overwrites every parameter and
+    then draws a frozen encoder from ``encoder_seed`` (the checkpoint
+    loader)."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, *, draw: bool = True):
         self.cfg = cfg
@@ -309,6 +334,14 @@ class Generator(Module):
             self.ka_branch = KaBranch(rng, cfg)
         n_branches = cfg.use_dwt_branch + cfg.use_ka_branch
         self.fusion = Conv(rng, cfg.base_channels * n_branches, 3, k=7)
+
+    @property
+    def size_multiple(self) -> int:
+        """What H and W must be multiples of: 2^depth for the wavelet
+        branch, 2^(encoder stages) for the knowledge-adaptation branch."""
+        cfg = self.cfg
+        return 1 << max(cfg.depth if cfg.use_dwt_branch else 0,
+                        len(cfg.encoder_channels) if cfg.use_ka_branch else 0)
 
     def __call__(self, x: Tensor) -> Tensor:
         feats = []
@@ -420,6 +453,11 @@ def load_generator(directory) -> tuple[Generator, dict]:
     cfg = ModelConfig(**cfg_dict)
     gen = Generator(cfg, seed=manifest["seed"], draw=False)
     _load_params(gen, directory / "params")
+    if cfg.use_ka_branch and not cfg.encoder_trainable:
+        # drawn only now: the KA branch's headers, which imply the encoder's
+        # widths, have matched, so absurd widths fail before any is drawn
+        gen.ka_branch.encoder = ToyEncoder(cfg.encoder_channels,
+                                           seed=cfg.encoder_seed)
     return gen, manifest
 
 

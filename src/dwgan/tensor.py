@@ -33,7 +33,12 @@ intermediate's array is freed as soon as the model code drops the tensor,
 unless a closure kept it.
 
 No op joins tensors: a conv reads a join along the channels from its
-parts, given as a ``Channels`` (see ``conv2d``).
+parts, given as a ``Channels`` (see ``conv2d``). A conv that runs as its
+transpose spreads its input through the kernel one band of rows at a
+time, from the last band to the first (``_scatter``), so it forms no
+image-sized product; it builds the whole join only for a closure that
+keeps it (recording, with a kernel that needs a gradient), so never under
+``no_grad``.
 
 Inside a ``with no_grad():`` block nothing is recorded: every result has
 requires_grad False, no parents and no backward closure, so nothing keeps
@@ -611,40 +616,58 @@ def _gather(windows, k, g=None, correlate=True):
     return y, None if g is None else dk.reshape(k.shape)
 
 
-def _scatter(g, k, stride, size):
+def _scatter(parts, k, stride, size):
     """The adjoint of ``_gather``'s correlation: spread the (C', B, Ho, Wo)
-    array ``g`` back through the (C', C, kh, kw) kernel ``k`` into a
-    (C, B) + ``size`` array, one tap at a time. The (C, B*Ho*Wo) product
-    of tap (i, j) lands on every input pixel under that tap, so no call
-    forms the im2col-sized ``kmat.T @ gmat``.
+    join of the (C'_n, B, Ho, Wo) arrays ``parts`` back through the
+    (C', C, kh, kw) kernel ``k`` into a (C, B) + ``size`` array, tap (i, j)
+    of input pixel (y, x) landing on (stride*y + i, stride*x + j).
 
-    A (C, C') product with C much smaller than C' (the fusion conv's C = 3)
-    runs badly in BLAS, so ``t = C' // 2C`` consecutive taps run as one
-    (t*C, C') product, at most half the size of ``g``; each tap's slice is
-    still added in (i, j) order. On the model's shapes each slice has the
-    bits of that tap's own product; BLAS may round a product with few
-    columns differently. A lone tap keeps the transposed view
-    ``k[:, :, i, j].T``: a contiguous copy changes the bits of the
-    attention convs' gradients on 1x1 inputs."""
-    cp, c, kh, kw = k.shape
-    _, bn, ho, wo = g.shape
-    gmat = g.reshape(cp, bn * ho * wo)
+    It walks bands of the join's rows from the last band to the first; a
+    band's product (or its copy, if C' > kh*kw*C) is about
+    ``_COL_BAND_BYTES``, or one step of rows. A band of a single part is
+    read in place through ``reshape``, which copies only when the band's
+    rows are not one matrix in memory; a band of several parts is copied
+    into its own (C', B, rows, Wo) buffer, so no call joins more than one
+    band of the parts. Per band, one stacked (kh*kw*C, C') product runs
+    and each tap's (C, B*rows*Wo) slice is added in (i, j) order.
+
+    An output row gets tap i from input row (row - i) / stride, so a larger
+    i comes from an earlier input row. Visiting the bands bottom-up
+    therefore adds every output element's products in (i, j) order, as one
+    product per tap over the whole join would, and no overlap is computed
+    twice. The products have those per-tap products' bits, with one
+    exception: when an N-column product's N % 8 is 1 to 4, BLAS rounds its
+    last N % 8 columns by a kernel whose result depends on the product's
+    shape. Every band but the last is whole blocks of 8 columns, so that
+    tail falls only on the join's last columns, as in one whole product,
+    but their bits can move (on the model, only for maps whose pixel count
+    is not a multiple of 8). A one-part band keeps its layout (a pooled
+    (B, C', 1, 1) input reads as an F-ordered (C', B) matrix), because
+    BLAS rounds a few-column product of another layout differently."""
+    c, kh, kw = k.shape[1:]
+    cp = sum(p.shape[0] for p in parts)
+    _, bn, ho, wo = parts[0].shape
     out = np.zeros((c, bn) + tuple(size))
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    t = max(1, cp // (2 * c))
-    # rows ordered (tap, C): a group's kernel is one contiguous slice
-    kstack = k.transpose(2, 3, 1, 0).reshape(-1, cp) if t > 1 else None
-    for n in range(0, len(taps), t):
-        group = taps[n:n + t]
-        if len(group) == 1:
-            i, j = group[0]
-            prod = k[:, :, i, j].T @ gmat
-        else:
-            prod = kstack[n * c:(n + len(group)) * c] @ gmat
-        for s, (i, j) in enumerate(group):
-            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
-                prod[s * c:(s + 1) * c].reshape(c, bn, ho, wo)
-        # freed before the next group's product is formed
+    # rows ordered (tap, C): tap s's kernel is rows s*C to (s + 1)*C; a
+    # 1x1 kernel's is the transposed view k[:, :, 0, 0].T
+    kstack = k.transpose(2, 3, 1, 0).reshape(kh * kw * c, cp)
+    # rows in steps that make a band's B*rows*Wo columns a multiple of 8
+    step = 8 // math.gcd(8, bn * wo)
+    rows = step * max(1, _COL_BAND_BYTES // (
+        step * max(kh * kw * c, cp) * bn * wo * out.itemsize))
+    for y0 in reversed(range(0, ho, rows)):
+        n = min(rows, ho - y0)
+        band = (parts[0][:, :, y0:y0 + n] if len(parts) == 1 else
+                np.concatenate([p[:, :, y0:y0 + n] for p in parts],
+                               out=np.empty((cp, bn, n, wo))))
+        prod = kstack @ band.reshape(cp, -1)
+        del band
+        for s in range(kh * kw):
+            i, j = divmod(s, kw)
+            out[:, :, i + stride * y0:i + stride * (y0 + n):stride,
+                j:j + stride * wo:stride] += \
+                prod[s * c:(s + 1) * c].reshape(c, bn, n, wo)
+        # freed before the next band's product is formed
         del prod
     return out
 
@@ -654,9 +677,13 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     (Cout, Cin, kh, kw) kernel; zero padding.
 
     The input is a tensor or a ``Channels``, read as its join: each part
-    is copied into the padded input or, in a transposed conv, the
-    (Cin, B, H, W) operand, and its gradient is its channels of ``dx``.
-    The closures keep the parts' offsets, never the parts' arrays.
+    is copied into the padded input or, in a transposed conv, handed to
+    ``_scatter``, which copies one band of its rows at a time. A
+    transposed conv builds the whole (Cin, B, H, W) join only when its
+    closure keeps it, that is when recording and the kernel needs a
+    gradient (``dW`` reads it); under ``no_grad`` it is never built. A
+    part's gradient is its channels of ``dx``. The closures keep the
+    parts' offsets, never the parts' arrays.
 
     Output spatial size is floor((H + 2*padding - kh)/stride) + 1 and
     analogously for width.
@@ -665,12 +692,12 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     transpose of the Cout -> Cin conv whose kernel is flipped in space and
     has its in and out channels swapped, ``kt``, padded by
     ``q = kh - 1 - padding`` (and likewise for width). So when Cout < Cin
-    (and padding < kh, kw) the forward spreads ``x`` through ``kt`` tap by
-    tap and crops at ``q``; ``dx`` correlates the gradient, padded by
-    ``q``, with ``kt``; and ``dW`` is that correlation's kernel gradient
-    with ``x`` in the gradient's place, flipped and transposed back. Every
-    im2col then has Cout*kh*kw rows, not Cin*kh*kw. Any other conv builds
-    the im2col of ``x``.
+    (and padding < kh, kw) the forward spreads ``x`` through ``kt`` band
+    by band (``_scatter``) and crops at ``q``; ``dx`` correlates the
+    gradient, padded by ``q``, with ``kt``; and ``dW`` is that
+    correlation's kernel gradient with ``x`` in the gradient's place,
+    flipped and transposed back. Every im2col then has Cout*kh*kw rows,
+    not Cin*kh*kw. Any other conv builds the im2col of ``x``.
     """
     xs = x if isinstance(x, Channels) else Channels((x,))
     kernel = _coerce(kernel)
@@ -693,14 +720,17 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
     if stride == 1 and cout < cin and padding < kh and padding < kw:
         kt = kd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         qh, qw = kh - 1 - padding, kw - 1 - padding
-        # one part is read in place, more are joined in C order
-        xc = (xs[0].data.transpose(1, 0, 2, 3) if len(xs) == 1 else
-              np.concatenate([p.data.transpose(1, 0, 2, 3) for p in xs],
-                             out=np.empty((cin, bn, h, w))))
-        out = _scatter(xc, kt, 1, (h + kh - 1, w + kw - 1))
+        parts = [p.data.transpose(1, 0, 2, 3) for p in xs]
+        # dW reads the (Cin, B, H, W) join, so it is built, in C order,
+        # only for a closure that keeps it; one part is read in place
+        xc = None
+        if _recording and nk:
+            xc = parts[0] if len(parts) == 1 else np.concatenate(
+                parts, out=np.empty((cin, bn, h, w)))
+            parts = [xc]
+        out = _scatter(parts, kt, 1, (h + kh - 1, w + kw - 1))
         # the output's Ho = H + 2*padding - kh + 1 rows start at row qh
         data = out[:, :, qh:h + padding, qw:w + padding].transpose(1, 0, 2, 3)
-        xc = xc if nk else None
 
         def grads(g):
             gw = np.lib.stride_tricks.sliding_window_view(
@@ -723,7 +753,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
             # no call holds the whole matrix either
             dk = _gather(windows, kd, g=gt, correlate=False)[1] if nk else None
             # gx is laid out (Cin, B, Hp, Wp), as the products come out
-            gx = _scatter(gt, kd, stride, (hp, wp)) if nx else None
+            gx = _scatter([gt], kd, stride, (hp, wp)) if nx else None
             return (None if gx is None else gx[:, :, padding:padding + h,
                                                padding:padding + w]), dk
 

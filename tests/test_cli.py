@@ -227,6 +227,60 @@ class TestTrainDehaze:
         assert (out / "metrics.csv").read_bytes() == per_pair_csv(
             (h.name, d, read_image(c)) for (h, c), d in zip(pairs, dehazed))
 
+    @pytest.mark.parametrize("h, w", [(40, 40), (100, 60), (9, 25)])
+    def test_dehaze_any_size(self, tmp_path, h, w):
+        # reflect-padded at the bottom and right to multiples of 16 (the
+        # default encoder's 4 stages), run whole and cropped back; 9 px is
+        # the smallest side one reflection pads to 16 (too small to score:
+        # SSIM's window is 11 px)
+        ckpt = tmp_path / "ckpt"
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        save_checkpoint(ckpt, gen)
+        img = np.random.default_rng(5).uniform(0, 1, (3, h, w))
+        hazy = tmp_path / "hazy.ppm"
+        write_image(hazy, img)
+        out = tmp_path / "o"
+        target = ["--target", str(hazy)] if min(h, w) >= 11 else []
+        assert main(["dehaze", str(hazy), "--checkpoint", str(ckpt),
+                     *target, "--out", str(out)]) == 0
+        padded = np.pad(read_image(hazy), ((0, 0), (0, -h % 16), (0, -w % 16)),
+                        mode="reflect")
+        with no_grad():
+            want = gen(Tensor(padded[None])).data[0, :, :h, :w]
+        got = read_image(out / "hazy.ppm")
+        assert got.shape == (3, h, w)
+        write_image(tmp_path / "want.ppm", want)
+        assert (out / "hazy.ppm").read_bytes() == \
+            (tmp_path / "want.ppm").read_bytes()
+
+    def test_dehaze_multiple_of_16_not_padded(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        save_checkpoint(ckpt, gen)
+        hazy = tmp_path / "hazy.ppm"
+        write_image(hazy, np.random.default_rng(6).uniform(0, 1, (3, 32, 48)))
+        out = tmp_path / "o"
+        assert main(["dehaze", str(hazy), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        with no_grad():
+            want = gen(Tensor(read_image(hazy)[None])).data[0]
+        write_image(tmp_path / "want.ppm", want)
+        assert (out / "hazy.ppm").read_bytes() == \
+            (tmp_path / "want.ppm").read_bytes()
+
+    @pytest.mark.parametrize("h, w", [(8, 40), (40, 8), (1, 1)])
+    def test_dehaze_below_smallest_size_fails_cleanly(self, tmp_path, capsys,
+                                                      h, w):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=2),
+                                        seed=0))
+        hazy = tmp_path / "hazy.ppm"
+        write_image(hazy, np.zeros((3, h, w)) + 0.5)
+        assert main(["dehaze", str(hazy), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 9 px" in err
+
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"
         main(["train", "--steps", "1", "--base-channels", "4", "--crop", "32",

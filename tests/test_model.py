@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dwgan.model import (ChannelAttention, Conv, Discriminator, DwtDown,
                          DwtUp, Generator, ModelConfig, PixelAttention,
                          load_checkpoint, load_generator, save_checkpoint)
-from dwgan.tensor import ShapeError, Tensor, load_tensor
+from dwgan.tensor import ShapeError, Tensor, load_tensor, no_grad
 from dwgan.train import checkpoint_hash
 from dwgan.wavelet import dwt2
 
@@ -39,6 +39,35 @@ class TestGenerator:
         gen = Generator(small_cfg(), seed=0)
         with pytest.raises(ShapeError):
             gen(rand_img((1, 3, 36, 36)))
+
+    def test_no_grad_forward_peak_bounded(self):
+        # a base-16/depth-2 forward at 96 px holds at most seven 16-channel
+        # full-resolution maps at once: dead skips and hf bands are dropped,
+        # and no conv joins its parts or forms an image-sized tap product
+        # (the join-and-scatter forward peaked at about 9.5 such maps)
+        gen = Generator(ModelConfig(base_channels=16, depth=2), seed=0)
+        x = rand_img((1, 3, 96, 96))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                gen(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 7 * 16 * 96 * 96 * 8
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("kw, m", [
+        ({}, 8), ({"depth": 4}, 16), ({"use_ka_branch": False}, 4),
+        ({"use_dwt_branch": False, "depth": 5}, 8),
+    ], ids=["both", "deep_dwt", "dwt_only", "ka_only"])
+    def test_size_multiple(self, kw, m):
+        # small_cfg's encoder has 3 stages; only enabled branches count
+        gen = Generator(small_cfg(**kw), seed=0)
+        assert gen.size_multiple == m
+        assert gen(rand_img((1, 3, m, 2 * m))).shape == (1, 3, m, 2 * m)
+        with pytest.raises(ShapeError):
+            gen(rand_img((1, 3, m, m + m // 2)))
 
     def test_seed_determinism(self):
         x = rand_img((1, 3, 32, 32), 1)
@@ -291,7 +320,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("config", [
         {"depth": 30}, {"depth": 12, "base_channels": 64},
         {"depth": 64, "base_channels": 64},
-    ], ids=["depth30", "depth12_base64", "depth64_base64"])
+        {"encoder_channels": [4, 20000, 20000]},
+        {"encoder_channels": [4, 20000, 20000], "encoder_trainable": True},
+    ], ids=["depth30", "depth12_base64", "depth64_base64", "encoder_wide",
+            "encoder_wide_trainable"])
     def test_huge_config_fails_before_allocating(self, tmp_path, config):
         # such configs give weights that double per level; the loader must
         # allocate no weight or bias until its file's header has the

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,6 +155,52 @@ class TestConv2dReference:
         self.check(kh, kw, stride, padding, layout, cout=4)
 
 
+class TestConv2dProperties:
+    """conv2d against the per-pixel float64 loop on drawn shapes: batch,
+    channel parts and their widths, Cout, kernel size, stride and padding
+    (so both modes, and padding at and above the kernel size), input size,
+    part layouts, and a band size that splits the im2col of ``_gather`` and
+    the rows of ``_scatter`` into several bands."""
+
+    TOL = dict(rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop(self, data):
+        bn = data.draw(st.integers(1, 3), label="B")
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=3), label="part widths")
+        cout = data.draw(st.integers(1, 6), label="Cout")
+        kh = data.draw(st.integers(1, 4), label="kh")
+        kw = data.draw(st.integers(1, 4), label="kw")
+        stride = data.draw(st.sampled_from([1, 2]), label="stride")
+        padding = data.draw(st.integers(0, max(kh, kw)), label="padding")
+        h = data.draw(st.integers(max(1, kh - 2 * padding), 9), label="H")
+        w = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="W")
+        band = data.draw(st.integers(8, 4096), label="_COL_BAND_BYTES")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        xds = []
+        for c in widths:
+            xd = rng.normal(size=(bn, c, h, w))
+            if data.draw(st.booleans(), label="conv-output layout"):
+                xd = np.ascontiguousarray(xd.transpose(1, 0, 2, 3)) \
+                    .transpose(1, 0, 2, 3)
+            xds.append(xd)
+        kd = rng.normal(size=(cout, sum(widths), kh, kw))
+        xs = [Tensor(xd, requires_grad=True) for xd in xds]
+        k = Tensor(kd, requires_grad=True)
+        with mock.patch.object(tensor, "_COL_BAND_BYTES", band):
+            y = conv2d(Channels(xs), k, stride=stride, padding=padding)
+            g = rng.normal(size=y.shape)
+            (y * Tensor(g)).sum().backward()
+        out, dk, dx = conv_reference(np.concatenate(xds, axis=1), kd, g,
+                                     stride, padding)
+        np.testing.assert_allclose(y.data, out, **self.TOL)
+        np.testing.assert_allclose(k.grad, dk, **self.TOL)
+        for x, a, b in zip(xs, np.cumsum([0] + widths), np.cumsum(widths)):
+            np.testing.assert_allclose(x.grad, dx[:, a:b], **self.TOL)
+
+
 class TestChannels:
     """A conv over channel parts against the same conv over their
     np.concatenate'd join: the same products, so the same bits."""
@@ -250,10 +297,10 @@ class TestConv2dBackwardMemory:
 
 
 class TestScatter:
-    """``_scatter`` runs consecutive taps of a kernel with few output
-    channels as one product; it adds the same products in the same order
-    as one product per tap. The shapes are the model's: they give the same
-    bits with the BLAS the bits are pinned for."""
+    """``_scatter`` runs one stacked product per band of rows, the last band
+    first, and adds the same products in the same order as one product per
+    tap over the whole join. The shapes are the model's: they give the same
+    bits with the BLAS the bits are pinned for, in one band or several."""
 
     @staticmethod
     def per_tap(g, k, stride, size):
@@ -268,19 +315,77 @@ class TestScatter:
                     (k[:, :, i, j].T @ gmat).reshape(c, bn, ho, wo)
         return out
 
-    @pytest.mark.parametrize("g_shape, k_shape, stride", [
+    @staticmethod
+    def operands(g_shape, k_shape, stride, layout):
+        g, k = rand(g_shape, seed=43), rand(k_shape, seed=44)
+        if layout == "conv_input":
+            # a conv input as conv2d hands it on, (B, C', H, W) in memory:
+            # for the pooled squeeze, an F-ordered (C', B) matrix
+            g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)) \
+                .transpose(1, 0, 2, 3)
+        _, _, ho, wo = g_shape
+        _, _, kh, kw = k_shape
+        return g, k, (stride * (ho - 1) + kh, stride * (wo - 1) + kw)
+
+    SHAPES = pytest.mark.parametrize("g_shape, k_shape, stride", [
         ((32, 4, 32, 32), (32, 3, 7, 7), 1),
         ((16, 4, 16, 16), (16, 3, 3, 3), 2),
         ((16, 4, 16, 16), (16, 3, 4, 4), 2),
+        ((32, 1, 48, 48), (32, 16, 3, 3), 1),
+        ((128, 1, 12, 12), (128, 64, 3, 3), 1),
         ((16, 4, 1, 1), (16, 2, 1, 1), 1),
-    ], ids=["fusion_k7", "k3s2_c3", "k4s2_c3", "k1_on_1x1"])
+    ], ids=["fusion_k7", "k3s2_c3", "k4s2_c3", "mix_k3", "fuse_k3",
+            "k1_on_1x1"])
+
+    @SHAPES
     def test_grouped_taps_equal_per_tap(self, g_shape, k_shape, stride):
-        g, k = rand(g_shape, seed=43), rand(k_shape, seed=44)
-        _, _, ho, wo = g_shape
-        _, _, kh, kw = k_shape
-        size = (stride * (ho - 1) + kh, stride * (wo - 1) + kw)
-        np.testing.assert_array_equal(tensor._scatter(g, k, stride, size),
+        g, k, size = self.operands(g_shape, k_shape, stride, "c_order")
+        np.testing.assert_array_equal(tensor._scatter([g], k, stride, size),
                                       self.per_tap(g, k, stride, size))
+
+    @SHAPES
+    @pytest.mark.parametrize("layout", ["c_order", "conv_input"])
+    @pytest.mark.parametrize("rows", [None, 1, 5],
+                             ids=["one_band", "rows1", "rows5"])
+    def test_bands_equal_per_tap(self, g_shape, k_shape, stride, layout,
+                                 rows, monkeypatch):
+        g, k, size = self.operands(g_shape, k_shape, stride, layout)
+        cp, c, kh, kw = k_shape
+        _, bn, ho, wo = g_shape
+        if rows is None:
+            monkeypatch.setattr(tensor, "_COL_BAND_BYTES", 1 << 40)
+        else:
+            monkeypatch.setattr(tensor, "_COL_BAND_BYTES",
+                                rows * max(kh * kw * c, cp) * bn * wo * 8)
+        np.testing.assert_array_equal(tensor._scatter([g], k, stride, size),
+                                      self.per_tap(g, k, stride, size))
+
+    @pytest.mark.parametrize("g_shape, k_shape", [
+        ((32, 1, 48, 48), (32, 16, 3, 3)), ((32, 4, 32, 32), (32, 3, 7, 7)),
+    ], ids=["mix_k3", "fusion_k7"])
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_parts_equal_their_join(self, g_shape, k_shape, rows,
+                                    monkeypatch):
+        # a band of several parts is copied; it gives the join's bits
+        g, k, size = self.operands(g_shape, k_shape, 1, "conv_input")
+        cp, c, kh, kw = k_shape
+        monkeypatch.setattr(tensor, "_COL_BAND_BYTES",
+                            rows * kh * kw * c * g_shape[1] * g_shape[3] * 8)
+        parts = [g[:cp // 2], g[cp // 2:]]
+        np.testing.assert_array_equal(tensor._scatter(parts, k, 1, size),
+                                      self.per_tap(g, k, 1, size))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_bands_equal_one_band(self, rows, monkeypatch):
+        # rows of 100 columns: a band takes rows in steps of 2, so every
+        # band but the last is whole blocks of 8 columns, which BLAS rounds
+        # as it does inside one product (in steps of 1 the bits move)
+        g, k, size = self.operands((32, 1, 60, 100), (32, 16, 3, 3), 1,
+                                   "conv_input")
+        monkeypatch.setattr(tensor, "_COL_BAND_BYTES", 1 << 40)
+        one = tensor._scatter([g], k, 1, size)
+        monkeypatch.setattr(tensor, "_COL_BAND_BYTES", rows * 144 * 100 * 8)
+        np.testing.assert_array_equal(tensor._scatter([g], k, 1, size), one)
 
 
 class TestPixelShuffle:
