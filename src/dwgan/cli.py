@@ -21,7 +21,7 @@ import numpy as np
 from . import datatool, hazesim
 from .metrics import MsSsimConfig, fit_levels, psnr, ssim_and_ms_ssim
 from .model import Discriminator, Generator, ModelConfig, load_generator
-from .tensor import Tensor, load_tensor, no_grad, save_tensor
+from .tensor import ShapeError, Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
 from .wavelet import Subbands, dwt2, idwt2
 
@@ -89,17 +89,29 @@ def cmd_dwt(args) -> int:
 _METRIC_FIELDS = ["filename", "psnr_db", "ssim", "ms_ssim"]
 
 
-def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
-                 ms_cfgs: dict) -> dict:
-    """One metrics.csv row. ``ms_cfgs`` maps an image size to the MS-SSIM
-    config fitted to it, so a command fits (and warns about a level
-    reduction) once per size rather than once per pair. SSIM and MS-SSIM
-    share their level-0 maps (``ssim_and_ms_ssim``)."""
-    psnr_db = psnr(pred, tgt)
+def _fitted(pred: np.ndarray, tgt: np.ndarray, ms_cfgs: dict) -> MsSsimConfig:
+    """The MS-SSIM config of a pair's size, from ``ms_cfgs``, which maps an
+    image size to the config fitted to it, so a command fits (and warns
+    about a level reduction) once per size rather than once per pair.
+    Raises ShapeError when the two sizes differ or a side is shorter than
+    the SSIM window."""
+    if pred.shape != tgt.shape:
+        raise ShapeError(f"image {pred.shape[1]}x{pred.shape[2]} and its "
+                         f"target {tgt.shape[1]}x{tgt.shape[2]} differ in "
+                         "size")
     size = pred.shape[1:]
     if size not in ms_cfgs:
         ms_cfgs[size] = fit_levels(MsSsimConfig(), *size)
-    s, ms = ssim_and_ms_ssim(pred[None], tgt[None], ms_cfgs[size])
+    return ms_cfgs[size]
+
+
+def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
+                 ms_cfgs: dict) -> dict:
+    """One metrics.csv row, scored with ``_fitted``'s config. SSIM and
+    MS-SSIM share their level-0 maps (``ssim_and_ms_ssim``)."""
+    cfg = _fitted(pred, tgt, ms_cfgs)
+    psnr_db = psnr(pred, tgt)
+    s, ms = ssim_and_ms_ssim(pred[None], tgt[None], cfg)
     return {"filename": filename, "psnr_db": f"{psnr_db:.6f}",
             "ssim": f"{s:.6f}", "ms_ssim": f"{ms:.6f}"}
 
@@ -251,12 +263,16 @@ def cmd_dehaze(args) -> int:
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
     for i, path in enumerate(args.images):
-        dehazed = _dehaze(gen, datatool.read_image(path))
-        out_path = out / Path(path).name
-        datatool.write_image(out_path, dehazed)
+        img = datatool.read_image(path)
         if targets:
-            rows.append(_metrics_row(Path(path).name, dehazed,
-                                     datatool.read_image(targets[i]), ms_cfgs))
+            # checked before dehazing, so a pair that cannot be scored
+            # writes nothing
+            tgt = datatool.read_image(targets[i])
+            _fitted(img, tgt, ms_cfgs)
+        dehazed = _dehaze(gen, img)
+        datatool.write_image(out / Path(path).name, dehazed)
+        if targets:
+            rows.append(_metrics_row(Path(path).name, dehazed, tgt, ms_cfgs))
     if rows:
         _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")

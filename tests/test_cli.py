@@ -281,6 +281,28 @@ class TestTrainDehaze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "at least 9 px" in err
 
+    @pytest.mark.parametrize("size, target_size, message", [
+        ((9, 25), (9, 25), "smaller than window 11"),
+        ((32, 32), (32, 48), "32x32 and its target 32x48 differ in size"),
+    ], ids=["below_window", "size_mismatch"])
+    def test_dehaze_unscorable_target_writes_nothing(self, tmp_path, capsys,
+                                                     size, target_size,
+                                                     message):
+        # the pair is checked before the input is dehazed, so neither the
+        # dehazed image nor metrics.csv is written
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=2),
+                                        seed=0))
+        hazy, tgt = tmp_path / "a.ppm", tmp_path / "t.ppm"
+        write_image(hazy, np.zeros((3, *size)) + 0.5)
+        write_image(tgt, np.zeros((3, *target_size)) + 0.5)
+        out = tmp_path / "o"
+        assert main(["dehaze", str(hazy), "--checkpoint", str(ckpt),
+                     "--target", str(tgt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert list(out.iterdir()) == []
+
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"
         main(["train", "--steps", "1", "--base-channels", "4", "--crop", "32",

@@ -1,19 +1,24 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dwgan import tensor
 from dwgan.model import Generator, ModelConfig
-from dwgan.tensor import (Channels, GradCheckReport, ShapeError, Tensor, add,
-                          avg_pool2, conv2d, div, grad_check, interleave2,
-                          leaky_relu, load_tensor, mul, no_grad,
-                          pixel_shuffle, relu, reshape, save_tensor, sigmoid,
-                          spatial_mean, subsample2, window)
+from dwgan.tensor import (Channels, GradCheckReport, ShapeError, Tensor,
+                          absval, add, avg_pool2, clip_min, conv2d, div,
+                          grad_check, interleave2, leaky_relu, load_tensor,
+                          log, mul, no_grad, pixel_shuffle, power, relu,
+                          reshape, save_tensor, sigmoid, spatial_mean,
+                          subsample2, window)
 
 
 def rand(shape, seed=0):
@@ -439,11 +444,20 @@ class TestElementwise:
 
 
 _BIG = (2, 3, 4, 4)
+# the small operand's shape in each broadcast form the tensor module
+# allows, given the large operand's shape
+_FORMS = {
+    "scalar": lambda big: (),
+    "same": lambda big: big,
+    "bias": lambda big: (1, big[1], 1, 1),
+    "gate": lambda big: (big[0], 1, *big[2:]),
+}
 
 
 class TestBroadcast:
     @pytest.mark.parametrize("op", [add, mul, div])
-    @pytest.mark.parametrize("small", [(1, 3, 1, 1), (2, 1, 4, 4)],
+    @pytest.mark.parametrize("small",
+                             [_FORMS[f](_BIG) for f in ("bias", "gate")],
                              ids=["bias", "gate"])
     @pytest.mark.parametrize("small_first", [True, False],
                              ids=["small_left", "small_right"])
@@ -477,6 +491,78 @@ class TestBroadcast:
         for x, y in ((sa, sb), (sb, sa)):
             with pytest.raises(ShapeError):
                 op(Tensor(rand(x)), Tensor(rand(y)))
+
+
+def _broadcast_examples(test):
+    # TestBroadcast's shapes, for each binary op and side
+    for op in ("add", "mul", "div"):
+        for form in ("bias", "gate"):
+            for small_first in (True, False):
+                test = example(op=op, big=_BIG, form=form,
+                               small_first=small_first, margin=0.1,
+                               seed=0)(test)
+    return test
+
+
+class TestPointwiseGradients:
+    """grad_check of every pointwise op on drawn shapes and values. The
+    binary ops run under each broadcast form, with the small operand on
+    either side; the unary ops take the large shape alone. Inputs keep a
+    drawn margin from the kinks of relu, leaky_relu, absval and clip_min
+    and from 0 (a denominator, log, a fractional power). Each operand of a
+    binary op has one sign, and the output weights are positive, so no
+    broadcast operand's gradient sums to near 0, where a relative error
+    says nothing."""
+
+    BINARY = {"add": add, "mul": mul, "div": div}
+    UNARY = ("power", "log", "absval", "clip_min", "relu", "leaky_relu",
+             "sigmoid")
+
+    @staticmethod
+    def away(rng, shape, margin, sign):
+        # magnitudes in [margin, margin + 2]; sign is +-1 or an array of it
+        return sign * (margin + rng.uniform(0.0, 2.0, shape))
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=st.sampled_from(sorted(BINARY) + list(UNARY)),
+           big=st.tuples(st.integers(1, 2), st.integers(1, 3),
+                         st.integers(1, 4), st.integers(1, 4)),
+           form=st.sampled_from(sorted(_FORMS)),
+           small_first=st.booleans(),
+           margin=st.floats(0.05, 0.5),
+           seed=st.integers(0, 2 ** 16))
+    @_broadcast_examples
+    def test_grad_check(self, op, big, form, small_first, margin, seed):
+        rng = np.random.default_rng(seed)
+        w = Tensor(0.5 + rng.uniform(0.0, 1.0, big))
+        if op in self.BINARY:
+            fn = self.BINARY[op]
+            sd = self.away(rng, _FORMS[form](big), margin, rng.choice([-1, 1]))
+            bd = self.away(rng, big, margin, rng.choice([-1, 1]))
+
+            def out(s, b):
+                return fn(s, b) if small_first else fn(b, s)
+
+            assert out(Tensor(sd), Tensor(bd)).shape == big
+            checks = [(lambda t: (out(t, Tensor(bd)) * w).sum(), sd),
+                      (lambda t: (out(Tensor(sd), t) * w).sum(), bd)]
+        else:
+            positive = op in ("power", "log")
+            xd = self.away(rng, big, margin,
+                           1 if positive else rng.choice([-1, 1], big))
+            p = rng.choice([-1.5, 0.5, 2.0, 3.0])
+            lo = rng.uniform(-1.0, 1.0)
+            slope = rng.uniform(0.01, 0.5)
+            fn = {"power": lambda t: power(t, p), "log": log,
+                  "absval": absval, "clip_min": lambda t: clip_min(t, lo),
+                  "relu": relu, "leaky_relu": lambda t: leaky_relu(t, slope),
+                  "sigmoid": sigmoid}[op]
+            if op == "clip_min":
+                xd = xd + lo
+            checks = [(lambda t: (fn(t) * w).sum(), xd)]
+        for f, xd in checks:
+            rep = grad_check(f, Tensor(xd))
+            assert rep.passed, (op, rep.max_rel_err)
 
 
 class TestBackward:
@@ -934,3 +1020,53 @@ class TestSerializationProperties:
             load_tensor(bin_path)
         except ValueError:
             pass
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# minor page faults of a second 256 px SSIM of the same pair
+_SECOND_SSIM_FAULTS = """
+import resource
+import numpy as np
+from dwgan.metrics import ssim
+a, b = np.random.default_rng(0).uniform(0, 1, (2, 1, 3, 256, 256))
+ssim(a, b)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+ssim(a, b)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap setting is glibc's")
+class TestFreedHeapKept:
+    """Importing dwgan keeps freed heap pages in the process, so a repeated
+    op faults no pages in again, unless the process was started with a
+    malloc setting of its own. Each case runs in a fresh interpreter whose
+    environment names no malloc setting but the one given."""
+
+    @staticmethod
+    def second_ssim_faults(**malloc_env) -> int:
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        env["PYTHONPATH"] = str(Path(tensor.__file__).parents[1])
+        env.update(malloc_env)
+        run = subprocess.run([sys.executable, "-c", _SECOND_SSIM_FAULTS],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        return int(run.stdout)
+
+    def test_repeated_op_faults_little(self):
+        # about 3,500 faults without the setting
+        assert self.second_ssim_faults() < 100
+
+    @pytest.mark.parametrize("malloc_env", [
+        {"MALLOC_TRIM_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+    ], ids=["MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"])
+    def test_explicit_setting_left_alone(self, malloc_env):
+        assert self.second_ssim_faults(**malloc_env) > 1000
