@@ -2,7 +2,7 @@
 haze synthesis, quality metrics, losses, two-branch model, training and CLI."""
 
 from .tensor import Tensor, ShapeError, grad_check, load_tensor, save_tensor
-from .wavelet import Subbands, dwt2, idwt2, dwt_multi, idwt_multi
+from .wavelet import Subbands, dwt2, idwt2
 from .hazesim import (HazePair, HazeParams, apply_haze, invert_haze,
                       make_base_images, make_dataset, transmission)
 from .metrics import MsSsimConfig, SsimConfig, gray_stats, ms_ssim, psnr, ssim
@@ -13,7 +13,7 @@ from .train import Adam, TrainConfig, ablation_run, augment, lr_at, train_gan
 
 __all__ = [
     "Tensor", "ShapeError", "grad_check", "load_tensor", "save_tensor",
-    "Subbands", "dwt2", "idwt2", "dwt_multi", "idwt_multi",
+    "Subbands", "dwt2", "idwt2",
     "HazePair", "HazeParams", "apply_haze", "invert_haze",
     "make_base_images", "make_dataset", "transmission",
     "MsSsimConfig", "SsimConfig", "gray_stats", "ms_ssim", "psnr", "ssim",

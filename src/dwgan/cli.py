@@ -203,12 +203,13 @@ def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
 def cmd_train(args) -> int:
     mcfg, tcfg = _build_configs(args)
     if args.no_adv:
-        tcfg = replace(tcfg, use_adv=False)
+        tcfg = replace(tcfg, weights=replace(tcfg.weights, gamma=0.0))
     rng = np.random.default_rng(tcfg.seed)
     base = hazesim.make_base_images(rng, 8, args.image_size, args.image_size)
     dataset = hazesim.make_dataset(args.n_pairs, args.mode, base, rng)
     gen = Generator(mcfg, seed=tcfg.seed)
-    disc = Discriminator(mcfg, seed=tcfg.seed + 1) if tcfg.use_adv else None
+    disc = (Discriminator(mcfg, seed=tcfg.seed + 1)
+            if tcfg.weights.gamma > 0 else None)
     result = train_gan(gen, disc, dataset, tcfg, out_dir=args.out)
     print(f"held-out PSNR {result.final_psnr:.2f} dB "
           f"(baseline {result.baseline_psnr:.2f}), "
@@ -235,12 +236,11 @@ def cmd_ablate(args) -> int:
 
 # -- dehaze -------------------------------------------------------------------
 
-def _dehaze(gen: Generator, img: np.ndarray) -> np.ndarray:
-    """``gen`` on a (3, H, W) image of any size: reflect-padded at the
-    bottom and right to multiples of ``gen.size_multiple`` m, run whole (not
-    in tiles: channel attention's global mean would tell tiles apart), and
-    cropped back. A side needs one reflection, so at least m/2 + 1 px (9 px
-    by default); an image whose sides are multiples already is not padded."""
+def _padding(gen: Generator, img: np.ndarray) -> tuple[int, int]:
+    """The rows and columns that pad a (3, H, W) image at the bottom and
+    right to multiples of ``gen.size_multiple`` m. They are made by one
+    reflection, so a side needs at least m/2 + 1 px (9 px by default); a
+    shorter side is a ValueError."""
     m = gen.size_multiple
     _, h, w = img.shape
     ph, pw = -h % m, -w % m
@@ -248,6 +248,16 @@ def _dehaze(gen: Generator, img: np.ndarray) -> np.ndarray:
         raise ValueError(f"{h}x{w} image too small: dehaze pads each side "
                          f"to a multiple of {m} by reflection, which needs "
                          f"at least {m // 2 + 1} px")
+    return ph, pw
+
+
+def _dehaze(gen: Generator, img: np.ndarray) -> np.ndarray:
+    """``gen`` on a (3, H, W) image of any size: reflect-padded by
+    ``_padding``, run whole (not in tiles: channel attention's global mean
+    would tell tiles apart), and cropped back. An image whose sides are
+    multiples already is not padded."""
+    _, h, w = img.shape
+    ph, pw = _padding(gen, img)
     if ph or pw:
         img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="reflect")
     with no_grad():
@@ -258,21 +268,24 @@ def cmd_dehaze(args) -> int:
     gen, _ = load_generator(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows, ms_cfgs = [], {}
     targets = args.target or []
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
+    # every input and pair is read and checked before any image is
+    # dehazed, so one that cannot be dehazed or scored writes nothing
+    images = [datatool.read_image(path) for path in args.images]
+    tgts = [datatool.read_image(path) for path in targets]
+    rows, ms_cfgs = [], {}
+    for img in images:
+        _padding(gen, img)
+    for img, tgt in zip(images, tgts):
+        _fitted(img, tgt, ms_cfgs)
     for i, path in enumerate(args.images):
-        img = datatool.read_image(path)
-        if targets:
-            # checked before dehazing, so a pair that cannot be scored
-            # writes nothing
-            tgt = datatool.read_image(targets[i])
-            _fitted(img, tgt, ms_cfgs)
-        dehazed = _dehaze(gen, img)
+        dehazed = _dehaze(gen, images[i])
         datatool.write_image(out / Path(path).name, dehazed)
-        if targets:
-            rows.append(_metrics_row(Path(path).name, dehazed, tgt, ms_cfgs))
+        if tgts:
+            rows.append(_metrics_row(Path(path).name, dehazed, tgts[i],
+                                     ms_cfgs))
     if rows:
         _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")
@@ -327,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--n-pairs", type=int, default=16)
-        p.add_argument("--image-size", type=int, default=64)
-        p.add_argument("--mode", default=hazesim.HOMOGENEOUS)
-        p.add_argument("--no-adv", action="store_true")
         if name == "train":
+            p.add_argument("--image-size", type=int, default=64)
+            p.add_argument("--mode", default=hazesim.HOMOGENEOUS)
+            p.add_argument("--no-adv", action="store_true")
             p.add_argument("--out", required=True)
         else:
             p.add_argument("--out", default=None)

@@ -78,9 +78,6 @@ class Module:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
 
-    def num_parameters(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
 
 def _unset(*shape: int) -> np.ndarray:
     """The stand-in for a parameter the caller overwrites (the checkpoint

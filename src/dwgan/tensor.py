@@ -16,12 +16,18 @@ Conventions, fixed once and used everywhere:
 The engine is eager: every operation on a gradient-requiring tensor records
 its backward closure immediately. There is no graph optimization.
 
-The ops, 20 in all: pointwise ``add``, ``mul``, ``div``, ``power``,
-``relu``, ``leaky_relu``, ``sigmoid``, ``log``, ``absval``, ``clip_min``;
-reductions ``tsum``, ``tmean``, ``spatial_mean``; structural ``reshape``,
-``subsample2``, ``interleave2``, ``pixel_shuffle``, ``avg_pool2``; and the
-filters ``conv2d`` (the model's convolutions) and ``window`` (a separable
-per-plane filter, SSIM's Gaussian window). ``no_grad`` is not an op.
+The ops, 15 in all: pointwise ``add``, ``mul``, ``div``, ``power``,
+``relu``, ``sigmoid``, ``log``, ``clip_min``; the reduction ``tsum``;
+structural ``reshape``, ``subsample2``, ``interleave2``,
+``pixel_shuffle``; and the filters ``conv2d`` (the model's convolutions)
+and ``window`` (a separable per-plane filter, SSIM's Gaussian window).
+Each has a backward written by hand.
+
+Five functions are built from those ops and have no backward of their
+own: ``tmean`` and ``spatial_mean`` divide a ``tsum`` by the count,
+``absval`` and ``leaky_relu`` ``mul`` by a sign or slope factor, and
+``avg_pool2`` adds the four ``subsample2`` phases in pairs and scales by
+0.25. ``no_grad`` is not an op either.
 
 The graph holds no forward data. A tensor that requires a gradient carries
 a small ``_Node``: its gradient, its parents' nodes and its closure. A
@@ -182,10 +188,6 @@ class Tensor:
         elif g is not None:
             raise ValueError("cannot set .grad of a tensor that does not "
                              "require a gradient")
-
-    @property
-    def _parents(self) -> tuple[_Node | None, ...]:
-        return () if self._node is None else self._node.parents
 
     @property
     def _backward(self):
@@ -445,13 +447,10 @@ def relu(a) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
+    """a where a > 0, slope*a elsewhere: ``mul`` by that 1-or-slope
+    factor, which its closure keeps."""
     a = _coerce(a)
-    fac = np.where(a.data > 0, 1.0, slope)
-
-    def bwd(g):
-        return (g * fac,)
-
-    return _make(a.data * fac, (a,), bwd)
+    return mul(a, np.where(a.data > 0, 1.0, slope))
 
 
 def sigmoid(a) -> Tensor:
@@ -475,13 +474,11 @@ def log(a) -> Tensor:
 
 
 def absval(a) -> Tensor:
+    """|a| as ``mul`` by sign(a), so the gradient at 0 is 0. Unlike
+    np.abs, it maps -0.0 to -0.0 (sign(-0.0) is 0.0); the two compare
+    equal."""
     a = _coerce(a)
-    s = np.sign(a.data)
-
-    def bwd(g):
-        return (g * s,)
-
-    return _make(np.abs(a.data), (a,), bwd)
+    return mul(a, np.sign(a.data))
 
 
 def clip_min(a, lo: float) -> Tensor:
@@ -497,39 +494,34 @@ def clip_min(a, lo: float) -> Tensor:
 
 # -- reductions --------------------------------------------------------------
 
-def tsum(a) -> Tensor:
+def tsum(a, axes: tuple[int, ...] | None = None) -> Tensor:
+    """The sum of all elements as a 0-d tensor or, given ``axes``, the sum
+    over those axes with each kept at size 1."""
     a = _coerce(a)
     shape = a.shape
 
     def bwd(g):
-        return (np.full(shape, float(g.reshape(()))),)
+        return (np.broadcast_to(g, shape),)
 
-    return _make(np.asarray(a.data.sum()), (a,), bwd)
+    return _make(np.asarray(a.data.sum(axis=axes, keepdims=axes is not None)),
+                 (a,), bwd)
 
 
 def tmean(a) -> Tensor:
+    """The mean of all elements: ``tsum(a) / a.size``, numpy's mean bit
+    for bit."""
     a = _coerce(a)
-    shape, n = a.shape, a.data.size
-
-    def bwd(g):
-        return (np.full(shape, float(g.reshape(())) / n),)
-
-    return _make(np.asarray(a.data.mean()), (a,), bwd)
+    return div(tsum(a), a.size)
 
 
 def spatial_mean(a) -> Tensor:
-    """Mean over H and W of a rank-4 tensor, keeping (B, C, 1, 1)."""
+    """Mean over H and W of a rank-4 tensor, keeping (B, C, 1, 1):
+    ``tsum(a, axes=(2, 3)) / (H*W)``."""
     a = _coerce(a)
     if a.data.ndim != 4:
         raise ShapeError("spatial_mean expects rank 4")
-    shape = a.shape
-    _, _, h, w = shape
-    data = a.data.mean(axis=(2, 3), keepdims=True)
-
-    def bwd(g):
-        return (np.broadcast_to(g / (h * w), shape),)
-
-    return _make(data, (a,), bwd)
+    _, _, h, w = a.shape
+    return div(tsum(a, axes=(2, 3)), h * w)
 
 
 # -- structural ops ----------------------------------------------------------
@@ -834,24 +826,19 @@ def pixel_shuffle(x, r: int) -> Tensor:
 def avg_pool2(x) -> Tensor:
     """2x2 mean pooling with stride 2; requires even spatial dims.
 
-    Each block is summed as (x00 + x01) + (x10 + x11) and divided by 4,
-    whatever the input's memory layout. numpy's mean over a C-ordered
+    Each block is summed as (x00 + x01) + (x10 + x11) from the four
+    ``subsample2`` phases and scaled by 0.25 (the bits of a division by
+    4), whatever the input's memory layout. numpy's mean over a C-ordered
     block adds in that order when the rows are at least 4 wide; at width 2,
     or in another layout, it adds in another order."""
     x = _coerce(x)
     if x.data.ndim != 4:
         raise ShapeError("avg_pool2 expects rank 4")
-    bn, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 needs even dims, got {h}x{w}")
-    xd = x.data
-    data = ((xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2])
-            + (xd[:, :, 1::2, 0::2] + xd[:, :, 1::2, 1::2])) / 4.0
-
-    def bwd(g):
-        return (np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) / 4.0,)
-
-    return _make(data, (x,), bwd)
+    x00, x01, x10, x11 = (subsample2(x, i, j) for i in (0, 1) for j in (0, 1))
+    return ((x00 + x01) + (x10 + x11)) * 0.25
 
 
 # window() filters this many output rows (then columns) per product

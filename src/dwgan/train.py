@@ -38,10 +38,9 @@ class TrainConfig:
     lr_factor: float = 0.5
     total_steps: int = 800
     seed: int = 0
+    # a term is off exactly when its weight is 0; a gamma above 0 trains
+    # the discriminator
     weights: LossWeights = field(default_factory=LossWeights)
-    use_ms_ssim: bool = True
-    use_perceptual: bool = True
-    use_adv: bool = True
     eval_every: int = 200
     checkpoint_every: int = 0  # 0 = final checkpoint only
     holdout_fraction: float = 0.2
@@ -53,14 +52,6 @@ class TrainConfig:
             raise ValueError("milestones must lie in (0, 1)")
         if not 0 < self.lr_factor < 1:
             raise ValueError("lr_factor must lie in (0, 1)")
-
-    def effective_weights(self) -> LossWeights:
-        w = self.weights
-        return LossWeights(
-            alpha=w.alpha if self.use_ms_ssim else 0.0,
-            beta=w.beta if self.use_perceptual else 0.0,
-            gamma=w.gamma if self.use_adv else 0.0,
-        )
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -192,9 +183,9 @@ def train_gan(gen: Generator, disc: Discriminator | None,
               dataset: list[HazePair], cfg: TrainConfig,
               out_dir: str | Path | None = None,
               perceptual_cfg: PerceptualConfig | None = None) -> TrainResult:
-    """Train the generator (and discriminator when adversarial supervision
-    is enabled) on the leading split of the dataset; the trailing
-    ``holdout_fraction`` is held out for evaluation.
+    """Train the generator (and the discriminator when the adversarial
+    weight ``cfg.weights.gamma`` is above 0) on the leading split of the
+    dataset; the trailing ``holdout_fraction`` is held out for evaluation.
 
     Deterministic under (cfg.seed, model seeds). Aborts on a non-finite
     total loss.
@@ -207,12 +198,12 @@ def train_gan(gen: Generator, disc: Discriminator | None,
     train_pairs = dataset[:len(dataset) - n_hold] if n_hold else dataset
     hold_pairs = dataset[len(dataset) - n_hold:] if n_hold else dataset
 
-    weights = cfg.effective_weights()
+    weights = cfg.weights
     if perceptual_cfg is None and weights.beta > 0:
         perceptual_cfg = PerceptualConfig()
     gen_opt = Adam(gen.parameters(), betas=cfg.betas, eps=cfg.eps)
     disc_opt = None
-    if cfg.use_adv:
+    if weights.gamma > 0:
         if disc is None:
             raise ValueError("adversarial term enabled but no discriminator")
         disc_opt = Adam(disc.parameters(), betas=cfg.betas, eps=cfg.eps)
@@ -241,7 +232,7 @@ def train_gan(gen: Generator, disc: Discriminator | None,
 
         pred = gen(hazy)
 
-        if cfg.use_adv:
+        if weights.gamma > 0:
             assert disc is not None and disc_opt is not None
             d_real = disc(clear)
             d_fake = disc(pred.detach())
@@ -351,15 +342,19 @@ def ablation_run(base_train_cfg: TrainConfig, model_cfg: ModelConfig,
          ref_p, ref_s) in ABLATION_CONFIGS:
         mcfg = replace(model_cfg, use_dwt_branch=dwt_b, use_ka_branch=ka_b,
                        use_dwt_modules=dwt_m)
-        tcfg = replace(base_train_cfg, use_perceptual=use_per,
-                       use_ms_ssim=use_ms, use_adv=use_adv)
+        # a loss the row leaves out gets weight 0
+        w = base_train_cfg.weights
+        w = LossWeights(alpha=w.alpha if use_ms else 0.0,
+                        beta=w.beta if use_per else 0.0,
+                        gamma=w.gamma if use_adv else 0.0)
+        tcfg = replace(base_train_cfg, weights=w)
         gen = Generator(mcfg, seed=tcfg.seed)
-        disc = Discriminator(mcfg, seed=tcfg.seed + 1) if use_adv else None
+        disc = Discriminator(mcfg, seed=tcfg.seed + 1) if w.gamma > 0 else None
         result = train_gan(gen, disc, list(dataset), tcfg)
         rows.append(AblationRow(
             label=label,
-            losses={"l1": True, "perceptual": use_per, "ms_ssim": use_ms,
-                    "adv": use_adv},
+            losses={"l1": True, "perceptual": w.beta > 0,
+                    "ms_ssim": w.alpha > 0, "adv": w.gamma > 0},
             psnr=result.final_psnr, ssim=result.final_ssim,
             ref_psnr=ref_p, ref_ssim=ref_s))
     return rows

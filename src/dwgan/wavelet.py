@@ -76,35 +76,3 @@ def idwt2(s: Subbands) -> Tensor:
     c = (ll + lh - hl - hh) * 0.25
     d = (ll + lh + hl + hh) * 0.25
     return interleave2(a, b, c, d)
-
-
-def dwt_multi(x: Tensor, levels: int) -> list[Subbands]:
-    """Cascaded decomposition: level k+1 transforms level k's LL band.
-
-    Returns per-level subbands, coarsest last. H and W must be divisible
-    by 2**levels.
-    """
-    if levels < 1:
-        raise ValueError("levels must be positive")
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
-    _, _, h, w = x.shape
-    if h % (1 << levels) or w % (1 << levels):
-        raise ShapeError(f"{h}x{w} not divisible by 2^{levels}")
-    out: list[Subbands] = []
-    cur = x
-    for _ in range(levels):
-        s = dwt2(cur)
-        out.append(s)
-        cur = s.ll
-    return out
-
-
-def idwt_multi(pyramid: list[Subbands]) -> Tensor:
-    """Reconstruct from a dwt_multi pyramid (coarsest last)."""
-    if not pyramid:
-        raise ValueError("empty pyramid")
-    cur = idwt2(pyramid[-1])
-    for s in reversed(pyramid[:-1]):
-        cur = idwt2(Subbands(ll=cur, lh=s.lh, hl=s.hl, hh=s.hh))
-    return cur

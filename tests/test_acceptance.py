@@ -13,8 +13,8 @@ import pytest
 from dwgan.datatool import match_brightness, read_image, write_image
 from dwgan.hazesim import (HOMOGENEOUS, apply_haze, invert_haze,
                            make_base_images, make_dataset, sample_homogeneous)
-from dwgan.losses import (PerceptualConfig, adversarial_gen, ms_ssim_loss,
-                          perceptual, smooth_l1, total_loss)
+from dwgan.losses import (LossWeights, PerceptualConfig, adversarial_gen,
+                          ms_ssim_loss, perceptual, smooth_l1, total_loss)
 from dwgan.metrics import MsSsimConfig, SsimConfig, ms_ssim, psnr, ssim
 from dwgan.cli import main as cli_main
 from dwgan.model import (ChannelAttention, Discriminator, DwtDown, DwtUp,
@@ -142,7 +142,7 @@ def test_loss_arithmetic():
     ds = make_dataset(8, HOMOGENEOUS, make_base_images(rng, 4, 32, 32), rng)
     tcfg = TrainConfig(crop=16, batch=2, total_steps=30, eval_every=0, seed=0)
     res = train_gan(gen, disc, ds, tcfg)
-    w = tcfg.effective_weights()
+    w = tcfg.weights
     worst = max(abs(r["total"] - (r["l1"] + w.alpha * r["ms_ssim"]
                                   + w.beta * r["perceptual"]
                                   + w.gamma * r["adv"]))
@@ -212,8 +212,8 @@ def test_ablation_direction():
         ds = make_dataset(12, HOMOGENEOUS,
                           make_base_images(rng, 6, 64, 64), rng)
         tcfg = TrainConfig(crop=32, batch=4, total_steps=120, eval_every=0,
-                           seed=seed, lr0=1e-3, use_perceptual=False,
-                           use_ms_ssim=False, use_adv=False)
+                           seed=seed, lr0=1e-3,
+                           weights=LossWeights(alpha=0.0, beta=0.0, gamma=0.0))
         psnrs = []
         for use_ka, use_dwt in ((False, False), (True, True)):
             mcfg = ModelConfig(base_channels=8, depth=2,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dwgan.cli import main
+from dwgan.cli import build_parser, main
 from dwgan.datatool import read_image, write_image
 from dwgan.metrics import ms_ssim, psnr, ssim
 from dwgan.tensor import Tensor, no_grad
@@ -303,6 +303,28 @@ class TestTrainDehaze:
         assert err.startswith("error: ") and message in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("sizes, message", [
+        ([(32, 32), (32, 32), (32, 32), (32, 48)],
+         "32x32 and its target 32x48"),
+        ([(32, 32), (8, 8)], "8x8 image too small"),
+    ], ids=["second_target_mismatch", "second_input_too_small"])
+    def test_dehaze_checks_every_input_first(self, tmp_path, capsys, sizes,
+                                             message):
+        # the second input cannot be dehazed or scored, so not even the
+        # first, which could be, is dehazed
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=2),
+                                        seed=0))
+        paths = [str(tmp_path / f"{n}.ppm") for n in "abcd"[:len(sizes)]]
+        for path, size in zip(paths, sizes):
+            write_image(path, np.zeros((3, *size)) + 0.5)
+        targets = ["--target", *paths[2:]] if len(paths) > 2 else []
+        out = tmp_path / "o"
+        assert main(["dehaze", *paths[:2], "--checkpoint", str(ckpt),
+                     *targets, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"
         main(["train", "--steps", "1", "--base-channels", "4", "--crop", "32",
@@ -378,6 +400,18 @@ class TestAblate:
 
 
 class TestParser:
+    @pytest.mark.parametrize("flags", [
+        ["--no-adv"], ["--mode", "nonhomogeneous"], ["--image-size", "64"],
+    ], ids=["no_adv", "mode", "image_size"])
+    def test_ablate_rejects_train_only_flags(self, flags, capsys):
+        # ablate builds its own data and loss configs, so these would be
+        # ignored; train takes them
+        build_parser().parse_args(["train", "--out", "r", *flags])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["ablate", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

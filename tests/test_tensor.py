@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -606,8 +608,8 @@ class TestBackward:
         z = relu(y)
         loss = z.mean()
         loss.backward()
-        for node in (y, z, loss):
-            assert node._parents == () and node.grad is None
+        for t in (y, z, loss):
+            assert t._node.parents == () and t.grad is None
         assert x.grad.shape == x.shape and k.grad.shape == k.shape
         assert np.any(x.grad) and np.any(k.grad)
 
@@ -701,7 +703,8 @@ class TestBackward:
 
         monkeypatch.setattr(tensor, "_make", traced_make)
         got = run()
-        assert len(called) == 5
+        # conv, mul, relu, tsum, and mean's tsum and div
+        assert len(called) == 6
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -725,7 +728,7 @@ class TestNoGrad:
             made += [relu(made[0]), made[0] * x.sum(), made[0].mean()]
         for t in made:
             assert not t.requires_grad
-            assert t._backward is None and t._parents == ()
+            assert t._node is None and t._backward is None
 
     def test_state_restored_after_raise_and_nesting(self):
         x = Tensor(rand((3,), seed=33), requires_grad=True)
@@ -874,6 +877,86 @@ class TestWindow:
             window(Tensor(np.zeros(shape)), taps)
 
 
+def conv_layout(shape, seed):
+    """Random values of ``shape`` in a conv2d output's memory layout: a
+    (B, C, H, W) view of (C, B, H, W) memory."""
+    bn, c, h, w = shape
+    out = conv2d(Tensor(rand((bn, 2, h, w), seed=seed)),
+                 Tensor(rand((c, 2, 1, 1), seed=seed + 1))).data
+    assert not out.flags.c_contiguous
+    return out
+
+
+def pool_reference(x):
+    return ((x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2])
+            + (x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2])) / 4.0
+
+
+class TestComposedFunctions:
+    """tmean, spatial_mean, absval, leaky_relu and avg_pool2 are built from
+    the ops and keep the bits of the ops they replaced."""
+
+    def test_op_inventory_matches_docstring(self):
+        tree = ast.parse(Path(tensor.__file__).read_text())
+        ops = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "_make" for n in ast.walk(f))}
+        para = re.search(r"The ops, (\d+) in all:(.*?)\n\n",
+                         ast.get_docstring(tree), re.S)
+        listed = re.findall(r"``(\w+)``", para.group(2))
+        assert sorted(listed) == sorted(ops)
+        assert len(ops) == int(para.group(1))
+        assert not ops & {"tmean", "spatial_mean", "absval", "leaky_relu",
+                          "avg_pool2"}
+
+    # (function, forward oracle, backward oracle given the upstream g)
+    CASES = {
+        "tmean": (tensor.tmean, np.mean,
+                  lambda x, g: np.full(x.shape, float(g) / x.size)),
+        "spatial_mean": (
+            spatial_mean, lambda x: x.mean(axis=(2, 3), keepdims=True),
+            lambda x, g: np.broadcast_to(g / (x.shape[2] * x.shape[3]),
+                                         x.shape)),
+        "absval": (absval, np.abs, lambda x, g: g * np.sign(x)),
+        "leaky_relu": (lambda t: leaky_relu(t, 0.2),
+                       lambda x: x * np.where(x > 0, 1.0, 0.2),
+                       lambda x, g: g * np.where(x > 0, 1.0, 0.2)),
+        "avg_pool2": (avg_pool2, pool_reference,
+                      lambda x, g: np.repeat(np.repeat(g, 2, axis=2), 2,
+                                             axis=3) / 4.0),
+    }
+
+    @pytest.mark.parametrize("layout", ["c_order", "conv_output"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bits_equal_numpy(self, name, layout):
+        fn, forward, backward = self.CASES[name]
+        shape = (2, 3, 6, 8)
+        xd = rand(shape, seed=70) if layout == "c_order" \
+            else conv_layout(shape, 70)
+        x = Tensor(xd, requires_grad=True)
+        y = fn(x)
+        want = forward(xd)
+        g = rand(np.shape(want), seed=72)
+        (y * Tensor(g)).sum().backward()
+        for got, ref in ((y.data, want), (x.grad, backward(xd, g))):
+            assert got.shape == np.shape(ref)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_absval_gradient_zero_at_zero(self):
+        x = Tensor([-0.0, 0.0, -2.0, 3.0], requires_grad=True)
+        y = absval(x)
+        assert y.data.tolist() == [0.0, 0.0, 2.0, 3.0]
+        y.sum().backward()
+        assert x.grad.tolist() == [0.0, 0.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 4), (1, 1, 4, 5), (1, 4, 4)],
+                             ids=["odd_h", "odd_w", "rank3"])
+    def test_avg_pool2_bad_shapes_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            avg_pool2(Tensor(np.zeros(shape)))
+
+
 class TestStructural:
     def test_interleave_inverts_subsample(self):
         x = Tensor(rand((1, 2, 6, 6), seed=12))
@@ -917,8 +1000,7 @@ class TestStructural:
         x = rand((2, 3, 6, w), seed=18)
         hwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
             0, 3, 1, 2)
-        want = ((x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2])
-                + (x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2])) / 4.0
+        want = pool_reference(x)
         for arr in (x, hwc):
             np.testing.assert_array_equal(avg_pool2(Tensor(arr)).data, want)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dwgan.hazesim import HOMOGENEOUS, HazePair, make_base_images, make_dataset
+from dwgan.losses import LossWeights
 from dwgan.model import Discriminator, Generator, ModelConfig
 from dwgan.train import (ABLATION_CONFIGS, Adam, TrainConfig, ablation_run,
                          augment, checkpoint_hash, lr_at, train_gan)
@@ -20,6 +21,9 @@ def small_dataset(n=8, size=32, seed=0):
     rng = np.random.default_rng(seed)
     base = make_base_images(rng, 4, size, size)
     return make_dataset(n, HOMOGENEOUS, base, rng)
+
+
+NO_ADV = LossWeights(gamma=0.0)
 
 
 def smoke_cfg(**kw):
@@ -51,11 +55,6 @@ class TestSchedule:
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lr_factor=1.5)
-
-    def test_effective_weights_zero_disabled(self):
-        cfg = TrainConfig(use_ms_ssim=False, use_adv=False)
-        w = cfg.effective_weights()
-        assert w.alpha == 0.0 and w.gamma == 0.0 and w.beta == 0.001
 
 
 class TestAugment:
@@ -155,17 +154,31 @@ class TestTrainGan:
     def test_empty_dataset_rejected(self):
         gen = Generator(small_model_cfg(), seed=0)
         with pytest.raises(ValueError):
-            train_gan(gen, None, [], smoke_cfg(use_adv=False))
+            train_gan(gen, None, [], smoke_cfg(weights=NO_ADV))
 
     def test_adv_requires_discriminator(self):
         gen = Generator(small_model_cfg(), seed=0)
         with pytest.raises(ValueError):
-            train_gan(gen, None, small_dataset(), smoke_cfg(use_adv=True))
+            train_gan(gen, None, small_dataset(), smoke_cfg())
+
+    def test_zero_weight_turns_term_off(self):
+        # a term is off exactly when its weight is 0: no MS-SSIM term, and
+        # a discriminator that is given but has gamma 0 is never trained
+        cfg = small_model_cfg()
+        gen, disc = Generator(cfg, seed=0), Discriminator(cfg, seed=1)
+        before = {k: p.data.copy() for k, p in disc.parameters().items()}
+        res = train_gan(gen, disc, small_dataset(), smoke_cfg(
+            total_steps=2, weights=LossWeights(alpha=0.0, gamma=0.0)))
+        for row in res.log_rows:
+            assert row["ms_ssim"] == 0.0 and row["adv"] == 0.0
+            assert row["perceptual"] > 0.0
+        for k, p in disc.parameters().items():
+            np.testing.assert_array_equal(p.data, before[k])
 
     def test_zero_steps_checkpoint_only(self, tmp_path):
         gen = Generator(small_model_cfg(), seed=0)
         res = train_gan(gen, None, small_dataset(),
-                        smoke_cfg(total_steps=0, use_adv=False),
+                        smoke_cfg(total_steps=0, weights=NO_ADV),
                         out_dir=tmp_path)
         assert res.log_rows == []
         assert (tmp_path / "final" / "manifest.json").exists()
@@ -177,7 +190,7 @@ class TestTrainGan:
         tcfg = smoke_cfg(eval_every=25)
         res = train_gan(gen, disc, small_dataset(), tcfg, out_dir=tmp_path)
         assert len(res.log_rows) == 50
-        w = tcfg.effective_weights()
+        w = tcfg.weights
         for row in res.log_rows:
             recon = (row["l1"] + w.alpha * row["ms_ssim"]
                      + w.beta * row["perceptual"] + w.gamma * row["adv"])
@@ -211,7 +224,7 @@ class TestTrainGan:
         gen = Generator(small_model_cfg(), seed=0)
         with caplog.at_level("WARNING", logger="dwgan.metrics"):
             train_gan(gen, None, small_dataset(),
-                      smoke_cfg(total_steps=3, use_adv=False))
+                      smoke_cfg(total_steps=3, weights=NO_ADV))
         warned = [r for r in caplog.records
                   if "reducing levels" in r.getMessage()]
         assert len(warned) == 1
@@ -233,7 +246,7 @@ class TestTrainGan:
     def test_intermediate_checkpoints(self, tmp_path):
         gen = Generator(small_model_cfg(), seed=0)
         train_gan(gen, None, small_dataset(),
-                  smoke_cfg(total_steps=10, use_adv=False,
+                  smoke_cfg(total_steps=10, weights=NO_ADV,
                             checkpoint_every=5),
                   out_dir=tmp_path)
         assert (tmp_path / "step_000005").is_dir()
@@ -263,13 +276,13 @@ class TestTrainGan:
         first.data = np.full_like(first.data, np.nan)
         with pytest.raises(FloatingPointError):
             train_gan(gen, None, small_dataset(),
-                      smoke_cfg(total_steps=5, use_adv=False))
+                      smoke_cfg(total_steps=5, weights=NO_ADV))
 
 
 class TestAblation:
     def test_seven_rows_with_reference(self):
         rows = ablation_run(
-            smoke_cfg(total_steps=2, use_adv=True),
+            smoke_cfg(total_steps=2),
             small_model_cfg(), dataset=small_dataset(6))
         assert len(rows) == 7
         for row, ref in zip(rows, ABLATION_CONFIGS):

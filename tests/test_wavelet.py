@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from dwgan.tensor import ShapeError, Tensor, grad_check
-from dwgan.wavelet import (HAAR_FILTERS, Subbands, dwt2, dwt_multi, idwt2,
-                           idwt_multi)
+from dwgan.wavelet import HAAR_FILTERS, Subbands, dwt2, idwt2
 
 
 def rand(shape, seed=0):
@@ -112,32 +111,6 @@ class TestIdwt2:
             x = rand((1, 3, h, w), seed=seed)
             err = np.max(np.abs(idwt2(dwt2(Tensor(x))).data - x))
             assert err < 1e-10
-
-
-class TestDwtMulti:
-    def test_single_level_equals_dwt2(self):
-        x = Tensor(rand((1, 1, 8, 8), seed=6))
-        multi = dwt_multi(x, 1)
-        single = dwt2(x)
-        assert len(multi) == 1
-        np.testing.assert_array_equal(multi[0].ll.data, single.ll.data)
-
-    def test_constant_cascade(self):
-        c, levels = 0.3, 3
-        pyramid = dwt_multi(Tensor(np.full((1, 1, 16, 16), c)), levels)
-        np.testing.assert_allclose(pyramid[-1].ll.data, 4 ** levels * c)
-        for s in pyramid:
-            for band in (s.lh, s.hl, s.hh):
-                np.testing.assert_allclose(band.data, 0.0)
-
-    def test_round_trip(self):
-        x = rand((1, 2, 16, 16), seed=7)
-        pyramid = dwt_multi(Tensor(x), 3)
-        assert np.max(np.abs(idwt_multi(pyramid).data - x)) < 1e-10
-
-    def test_divisibility_error(self):
-        with pytest.raises(ShapeError):
-            dwt_multi(Tensor(rand((1, 1, 12, 12))), 3)
 
 
 class TestGradients:
