@@ -5,7 +5,7 @@ from .tensor import Tensor, ShapeError, grad_check, load_tensor, save_tensor
 from .wavelet import Subbands, dwt2, idwt2
 from .hazesim import (HazePair, HazeParams, apply_haze, invert_haze,
                       make_base_images, make_dataset, transmission)
-from .metrics import MsSsimConfig, SsimConfig, gray_stats, ms_ssim, psnr, ssim
+from .metrics import MsSsimConfig, gray_stats, ms_ssim, psnr, ssim
 from .losses import LossWeights, PerceptualConfig, smooth_l1, total_loss
 from .model import (Discriminator, Generator, ModelConfig, load_checkpoint,
                     load_generator, save_checkpoint)
@@ -16,7 +16,7 @@ __all__ = [
     "Subbands", "dwt2", "idwt2",
     "HazePair", "HazeParams", "apply_haze", "invert_haze",
     "make_base_images", "make_dataset", "transmission",
-    "MsSsimConfig", "SsimConfig", "gray_stats", "ms_ssim", "psnr", "ssim",
+    "MsSsimConfig", "gray_stats", "ms_ssim", "psnr", "ssim",
     "LossWeights", "PerceptualConfig", "smooth_l1", "total_loss",
     "Discriminator", "Generator", "ModelConfig", "load_checkpoint",
     "load_generator", "save_checkpoint",

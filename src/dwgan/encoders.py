@@ -1,10 +1,11 @@
-"""Multi-stage feature encoder.
+"""Multi-stage feature encoder and the weight initializer it shares with
+the model.
 
 The knowledge-adaptation branch and the perceptual loss both consume an
 encoder that maps a 3-channel image to a pyramid of feature stages, each
 at half the previous resolution. It is a fixed, seeded
 strided-convolution pyramid standing in for a pretrained backbone, so its
-weights follow from (channels, seed) alone.
+weights follow from (channels, seed) alone, and it is never trained.
 """
 
 from __future__ import annotations
@@ -14,38 +15,47 @@ import numpy as np
 from .tensor import Tensor, conv2d, relu
 
 
+def _unset(*shape: int) -> np.ndarray:
+    """The stand-in for a parameter the caller overwrites (the checkpoint
+    loader): a read-only zero view of ``shape`` that allocates nothing, so
+    a config with absurd widths fails on a file's header, not in malloc."""
+    try:
+        return np.broadcast_to(np.float64(0.0), shape)
+    except ValueError:
+        raise ValueError(f"parameter shape {shape} is too large for an "
+                         "array") from None
+
+
+def _kaiming(rng: np.random.Generator | None, cout: int, cin: int, kh: int,
+             kw: int) -> np.ndarray:
+    """A (cout, cin, kh, kw) weight drawn uniformly within the fan-in
+    bound sqrt(6 / (cin kh kw)), or ``_unset`` when ``rng`` is None."""
+    if rng is None:
+        return _unset(cout, cin, kh, kw)
+    bound = np.sqrt(6.0 / (cin * kh * kw))
+    return rng.uniform(-bound, bound, size=(cout, cin, kh, kw))
+
+
 class ToyEncoder:
     """Seeded strided-conv feature pyramid.
 
     Each stage is a 3x3 stride-2 convolution followed by ReLU, so stage j
     has spatial extent H / 2^(j+1). Weights are deterministic in the seed
-    and frozen unless ``trainable=True``.
+    and frozen.
     """
 
     def __init__(self, channels: tuple[int, ...] = (16, 32, 64, 64),
-                 seed: int = 0, trainable: bool = False, *,
-                 draw: bool = True):
+                 seed: int = 0, *, draw: bool = True):
         """``draw=False`` neither draws nor allocates the weights: each is
-        a read-only zero view, for the checkpoint loader, which overwrites
-        a trainable encoder's weights and draws a frozen one only once the
-        files' headers have confirmed its widths."""
+        an ``_unset`` view, for the checkpoint loader, which draws the
+        encoder only once the files' headers have confirmed its widths."""
         self.channels = tuple(int(c) for c in channels)
-        self.trainable = trainable
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         self.weights: list[Tensor] = []
         cin = 3
         for cout in self.channels:
-            fan_in = cin * 9
-            bound = np.sqrt(6.0 / fan_in)
-            shape = (cout, cin, 3, 3)
-            w = (rng.uniform(-bound, bound, size=shape) if draw
-                 else np.broadcast_to(np.float64(0.0), shape))
-            self.weights.append(Tensor(w, requires_grad=trainable))
+            self.weights.append(Tensor(_kaiming(rng, cout, cin, 3, 3)))
             cin = cout
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.channels)
 
     def stages(self, x: Tensor) -> list[Tensor]:
         """Feature maps for every stage, finest first."""
@@ -55,7 +65,3 @@ class ToyEncoder:
             cur = relu(conv2d(cur, w, stride=2, padding=1))
             feats.append(cur)
         return feats
-
-    def named_parameters(self, prefix: str = "encoder"):
-        for i, w in enumerate(self.weights):
-            yield f"{prefix}.stage{i}.weight", w

@@ -34,11 +34,12 @@ class LossWeights:
 
 @dataclass
 class PerceptualConfig:
-    """Three-stage feature extractor for the perceptual distance."""
+    """The feature extractor of the perceptual distance: any object whose
+    ``stages(x)`` returns a list of feature maps. The default is a
+    three-stage ``ToyEncoder``."""
 
     extractor: object = field(default_factory=lambda: ToyEncoder(
         channels=(16, 32, 64), seed=0))
-    num_stages: int = 3
 
 
 def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
@@ -61,16 +62,13 @@ def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
 
 def perceptual(pred: Tensor, target: Tensor,
                cfg: PerceptualConfig | None = None) -> Tensor:
-    """Sum over stages of the per-element mean squared feature distance
-    (equivalently 1/(C_j H_j W_j) * ||phi_j(target) - phi_j(pred)||^2
-    averaged over the batch). Gradient flows to pred only."""
+    """Sum over every stage of the extractor of the per-element mean
+    squared feature distance (equivalently 1/(C_j H_j W_j) *
+    ||phi_j(target) - phi_j(pred)||^2 averaged over the batch). Gradient
+    flows to pred only."""
     cfg = cfg or PerceptualConfig()
-    feats_pred = cfg.extractor.stages(pred)[:cfg.num_stages]
-    feats_tgt = cfg.extractor.stages(target.detach())[:cfg.num_stages]
-    if len(feats_pred) < cfg.num_stages:
-        raise ValueError(
-            f"extractor produced {len(feats_pred)} stages, need {cfg.num_stages}"
-        )
+    feats_pred = cfg.extractor.stages(pred)
+    feats_tgt = cfg.extractor.stages(target.detach())
     total: Tensor | None = None
     for fp, ft in zip(feats_pred, feats_tgt):
         diff = fp - ft.detach()

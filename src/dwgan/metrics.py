@@ -1,8 +1,9 @@
 """Image-quality metrics: PSNR, SSIM, MS-SSIM and gray-level statistics.
 
-SSIM uses an 11x11 Gaussian window (sigma 1.5) with the usual stabilizers
-C1 = (0.01*L)^2, C2 = (0.03*L)^2 and is computed over the valid region
-(no padding), per channel, then averaged. MS-SSIM multiplies per-level
+SSIM uses the standard constants of Wang et al. (2004): an 11x11
+Gaussian window (sigma 1.5) and the stabilizers C1 = (0.01*L)^2,
+C2 = (0.03*L)^2 for a dynamic range L of 1. It is computed over the valid
+region (no padding), per channel, then averaged. MS-SSIM multiplies per-level
 contrast/structure terms over a dyadic pyramid (2x2 mean pooling between
 levels) and applies the luminance term only at the coarsest level.
 
@@ -32,7 +33,7 @@ tensors or arrays and return plain floats.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,27 +50,17 @@ logger = logging.getLogger(__name__)
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
-@dataclass
-class SsimConfig:
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
+# the SSIM window's side and Gaussian sigma, and its stabilizers for a
+# dynamic range of 1
+WINDOW = 11
+SIGMA = 1.5
+C1 = 0.01 ** 2
+C2 = 0.03 ** 2
 
 
 @dataclass
 class MsSsimConfig:
     weights: tuple[float, ...] = DEFAULT_MSSSIM_WEIGHTS
-    ssim: SsimConfig = field(default_factory=SsimConfig)
 
     @property
     def levels(self) -> int:
@@ -100,7 +91,7 @@ def _as_pair(a, b) -> tuple[Tensor, Tensor]:
     return a, b
 
 
-def _ssim_maps(a: Tensor, b: Tensor, cfg: SsimConfig,
+def _ssim_maps(a: Tensor, b: Tensor,
                luminance: bool) -> tuple[Tensor | None, Tensor]:
     """The luminance map (None unless ``luminance``) and the
     contrast/structure map of two equal-shape rank-4 tensors.
@@ -110,14 +101,11 @@ def _ssim_maps(a: Tensor, b: Tensor, cfg: SsimConfig,
     filter runs (three without the luminance map).
     """
     _, _, h, w = a.shape
-    if h < cfg.window_size or w < cfg.window_size:
-        raise ShapeError(
-            f"image {h}x{w} smaller than window {cfg.window_size}"
-        )
-    ax = np.arange(cfg.window_size) - (cfg.window_size - 1) / 2.0
-    g1 = np.exp(-(ax ** 2) / (2.0 * cfg.sigma ** 2))
+    if h < WINDOW or w < WINDOW:
+        raise ShapeError(f"image {h}x{w} smaller than window {WINDOW}")
+    ax = np.arange(WINDOW) - (WINDOW - 1) / 2.0
+    g1 = np.exp(-(ax ** 2) / (2.0 * SIGMA ** 2))
     g1 = g1 / g1.sum()
-    c1, c2 = cfg.c1, cfg.c2
     mu_a = window(a, g1)
     mu_b = window(b, g1)
     mu_ab = mu_a * mu_b
@@ -125,7 +113,7 @@ def _ssim_maps(a: Tensor, b: Tensor, cfg: SsimConfig,
     del mu_a
     mu_bb = mu_b * mu_b
     del mu_b
-    lum = ((mu_ab * 2.0 + c1) / (mu_aa + mu_bb + c1)) if luminance else None
+    lum = ((mu_ab * 2.0 + C1) / (mu_aa + mu_bb + C1)) if luminance else None
     # x - y is x + (-y): negating each mean product now, one at a time,
     # keeps the subtractions below from holding both it and its negation
     neg_ab = -mu_ab
@@ -138,28 +126,27 @@ def _ssim_maps(a: Tensor, b: Tensor, cfg: SsimConfig,
     del neg_aa
     var_b = window(b * b, g1) + neg_bb
     del neg_bb
-    den = var_a + var_b + c2
+    den = var_a + var_b + C2
     del var_a, var_b
     cov = window(a * b, g1) + neg_ab
     del neg_ab
-    return lum, (cov * 2.0 + c2) / den
+    return lum, (cov * 2.0 + C2) / den
 
 
-def ssim_components(a: Tensor, b: Tensor,
-                    cfg: SsimConfig | None = None) -> tuple[Tensor, Tensor, Tensor]:
+def ssim_components(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Mean luminance term, mean contrast/structure term, and the SSIM map.
 
     All three are differentiable tensors; the map has the valid-region
     spatial extent.
     """
     a, b = _as_pair(a, b)
-    lum, cs = _ssim_maps(a, b, cfg or SsimConfig(), luminance=True)
+    lum, cs = _ssim_maps(a, b, luminance=True)
     return lum.mean(), cs.mean(), lum * cs
 
 
-def ssim(a, b, cfg: SsimConfig | None = None) -> tuple[float, np.ndarray]:
+def ssim(a, b) -> tuple[float, np.ndarray]:
     """Mean SSIM over the valid region plus the per-pixel SSIM map."""
-    _, _, smap = ssim_components(a, b, cfg)
+    _, _, smap = ssim_components(a, b)
     return float(smap.data.mean()), smap.data
 
 
@@ -167,14 +154,13 @@ def fit_levels(cfg: MsSsimConfig, h: int, w: int) -> MsSsimConfig:
     """``cfg`` with its weights cut to the levels an h x w image supports,
     warning when it cuts. Each pooling halves the dims, so level m needs a
     min dim >= window * 2^(m-1)."""
-    win = cfg.ssim.window_size
     max_levels = 0
     m = min(h, w)
-    while m >= win:
+    while m >= WINDOW:
         max_levels += 1
         m //= 2
     if max_levels < 1:
-        raise ShapeError(f"image {h}x{w} smaller than window {win}")
+        raise ShapeError(f"image {h}x{w} smaller than window {WINDOW}")
     if max_levels >= cfg.levels:
         return cfg
     logger.warning("ms_ssim: reducing levels %d -> %d for %dx%d input",
@@ -192,18 +178,17 @@ def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
     """
     a, b = _as_pair(a, b)
     cfg = fit_levels(cfg or MsSsimConfig(), a.shape[2], a.shape[3])
-    return _ms_ssim(a, b, cfg, _ssim_maps(a, b, cfg.ssim,
-                                          luminance=cfg.levels == 1))
+    return _ms_ssim(a, b, cfg, _ssim_maps(a, b, luminance=cfg.levels == 1))
 
 
 def ssim_and_ms_ssim(a, b, cfg: MsSsimConfig | None = None
                      ) -> tuple[float, float]:
-    """``(ssim(a, b, cfg.ssim)[0], ms_ssim(a, b, cfg))`` with the same bits,
+    """``(ssim(a, b)[0], ms_ssim(a, b, cfg))`` with the same bits,
     from one set of level-0 maps: level 0's contrast/structure map comes
     from the same ops with or without the luminance map."""
     a, b = _as_pair(a, b)
     cfg = fit_levels(cfg or MsSsimConfig(), a.shape[2], a.shape[3])
-    maps = _ssim_maps(a, b, cfg.ssim, luminance=True)
+    maps = _ssim_maps(a, b, luminance=True)
     return (float((maps[0] * maps[1]).data.mean()),
             _ms_ssim(a, b, cfg, maps).item())
 
@@ -224,7 +209,7 @@ def _ms_ssim(a: Tensor, b: Tensor, cfg: MsSsimConfig,
     cur_a, cur_b = a, b
     for m in range(levels):
         last = m == levels - 1
-        lum, cs = maps if m == 0 else _ssim_maps(cur_a, cur_b, cfg.ssim,
+        lum, cs = maps if m == 0 else _ssim_maps(cur_a, cur_b,
                                                    luminance=last)
         maps = None
         if not last:

@@ -8,10 +8,12 @@ encoder, pixel-shuffle decoder with channel and pixel attention). A 7x7
 fusion convolution maps the concatenated branch features to the output
 image, squashed to [0, 1] by a sigmoid.
 
-All widths and depths are configurable; initialization is uniform
-Kaiming-style fan-in scaling, fully determined by the seed. Generator
-activations are ReLU, discriminator activations leaky ReLU with slope 0.2;
-no normalization layers are used.
+Widths, depths and the branches are configurable; the rest is fixed:
+every conv has a bias and is padded by (k - 1) // 2, the attention
+bottlenecks divide the width by 8, and the frozen encoder is drawn from
+seed 0. Initialization is uniform Kaiming-style fan-in scaling, fully
+determined by the seed. Generator activations are ReLU, discriminator
+activations leaky ReLU with slope 0.2; no normalization layers are used.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import ToyEncoder
+from .encoders import ToyEncoder, _kaiming, _unset
 from .tensor import (Channels, ShapeError, Tensor, conv2d, leaky_relu,
                      pixel_shuffle, relu, save_tensor, sigmoid, spatial_mean,
                      load_tensor)
@@ -36,10 +38,7 @@ class ModelConfig:
     use_dwt_modules: bool = True
     use_dwt_branch: bool = True
     use_ka_branch: bool = True
-    attention_reduction: int = 8
     encoder_channels: tuple[int, ...] = (16, 32, 64, 64)
-    encoder_seed: int = 0
-    encoder_trainable: bool = False
 
     def __post_init__(self):
         if self.depth < 1:
@@ -48,8 +47,6 @@ class ModelConfig:
             raise ValueError("base_channels must be >= 4")
         if not (self.use_dwt_branch or self.use_ka_branch):
             raise ValueError("at least one branch must be enabled")
-        if self.attention_reduction < 1:
-            raise ValueError("attention_reduction must be >= 1")
         if min(self.encoder_channels, default=1) < 1:
             raise ValueError("encoder_channels must all be >= 1")
 
@@ -67,9 +64,6 @@ class Module:
                     yield full, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(full)
-            elif isinstance(value, ToyEncoder):
-                if value.trainable:
-                    yield from value.named_parameters(full)
             elif isinstance(value, list):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
@@ -79,50 +73,34 @@ class Module:
         return dict(self.named_parameters())
 
 
-def _unset(*shape: int) -> np.ndarray:
-    """The stand-in for a parameter the caller overwrites (the checkpoint
-    loader): a read-only zero view of ``shape`` that allocates nothing, so
-    a config with absurd widths fails on a file's header, not in malloc."""
-    try:
-        return np.broadcast_to(np.float64(0.0), shape)
-    except ValueError:
-        raise ValueError(f"parameter shape {shape} is too large for an "
-                         "array") from None
-
-
-def _kaiming(rng: np.random.Generator | None, cout: int, cin: int, kh: int,
-             kw: int) -> np.ndarray:
-    if rng is None:
-        return _unset(cout, cin, kh, kw)
-    bound = np.sqrt(6.0 / (cin * kh * kw))
-    return rng.uniform(-bound, bound, size=(cout, cin, kh, kw))
+# the attention bottlenecks' width divisor
+REDUCTION = 8
 
 
 class Conv(Module):
-    def __init__(self, rng, cin: int, cout: int, k: int = 3, stride: int = 1,
-                 padding: int | None = None, bias: bool = True):
+    """A k x k conv with a bias, padded by (k - 1) // 2 on each side."""
+
+    def __init__(self, rng, cin: int, cout: int, k: int = 3, stride: int = 1):
         self.stride = stride
-        self.padding = (k - 1) // 2 if padding is None else padding
+        self.padding = (k - 1) // 2
         self.weight = Tensor(_kaiming(rng, cout, cin, k, k), requires_grad=True)
-        self.bias = None if not bias else Tensor(
+        self.bias = Tensor(
             _unset(1, cout, 1, 1) if rng is None else np.zeros((1, cout, 1, 1)),
             requires_grad=True)
 
     def __call__(self, *xs: Tensor) -> Tensor:
         """The conv of the join of ``xs`` along the channels."""
         x = xs[0] if len(xs) == 1 else Channels(xs)
-        y = conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return conv2d(x, self.weight, stride=self.stride,
+                      padding=self.padding) + self.bias
 
 
 class ChannelAttention(Module):
     """Global average pool -> bottleneck 1x1 convs -> sigmoid gate in (0,1)
     applied per channel."""
 
-    def __init__(self, rng, channels: int, reduction: int = 8):
-        mid = max(1, channels // reduction)
+    def __init__(self, rng, channels: int):
+        mid = max(1, channels // REDUCTION)
         self.squeeze = Conv(rng, channels, mid, k=1)
         self.excite = Conv(rng, mid, channels, k=1)
 
@@ -134,8 +112,8 @@ class ChannelAttention(Module):
 class PixelAttention(Module):
     """1x1 convs -> one sigmoid gate per pixel, applied across channels."""
 
-    def __init__(self, rng, channels: int, reduction: int = 8):
-        mid = max(1, channels // reduction)
+    def __init__(self, rng, channels: int):
+        mid = max(1, channels // REDUCTION)
         self.squeeze = Conv(rng, channels, mid, k=1)
         self.excite = Conv(rng, mid, 1, k=1)
 
@@ -149,7 +127,7 @@ class DwtDown(Module):
     joined on channels; also emits (LH, HL, HH) for the up block."""
 
     def __init__(self, rng, cin: int, cout: int):
-        self.down = Conv(rng, cin, cout, k=3, stride=2, padding=1)
+        self.down = Conv(rng, cin, cout, k=3, stride=2)
         self.mix = Conv(rng, cout + cin, cout, k=3)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor]]:
@@ -160,7 +138,7 @@ class DwtDown(Module):
 
 class PlainDown(Module):
     def __init__(self, rng, cin: int, cout: int):
-        self.down = Conv(rng, cin, cout, k=3, stride=2, padding=1)
+        self.down = Conv(rng, cin, cout, k=3, stride=2)
         self.mix = Conv(rng, cout, cout, k=3)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, None]:
@@ -222,7 +200,6 @@ class DwtBranch(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         bc, d = cfg.base_channels, cfg.depth
-        self.depth = d
         self.stem = Conv(rng, 3, bc, k=3)
         self.downs: list[Module] = []
         self.ups: list[Module] = []
@@ -245,10 +222,6 @@ class DwtBranch(Module):
             self.skips.append(Conv(rng, 2 * cout, cout, k=3))
 
     def __call__(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
-        step = 1 << self.depth
-        if h % step or w % step:
-            raise ShapeError(f"{h}x{w} not divisible by 2^{self.depth}")
         skips = [relu(self.stem(x))]
         hfs = []
         for down in self.downs:
@@ -271,14 +244,11 @@ class KaBranch(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         self.encoder = ToyEncoder(channels=cfg.encoder_channels,
-                                  seed=cfg.encoder_seed,
-                                  trainable=cfg.encoder_trainable,
                                   draw=rng is not None)
-        if self.encoder.num_stages < 3:
-            raise ValueError("knowledge-adaptation encoder needs >= 3 stages")
         ch = list(self.encoder.channels)
+        if len(ch) < 3:
+            raise ValueError("knowledge-adaptation encoder needs >= 3 stages")
         bc = cfg.base_channels
-        red = cfg.attention_reduction
         self.ups: list[Module] = []
         self.cattn: list[Module] = []
         self.pattn: list[Module] = []
@@ -286,21 +256,15 @@ class KaBranch(Module):
         for k in reversed(range(1, len(ch))):
             cout = ch[k - 1]
             self.ups.append(Conv(rng, ch[k], cout * 4, k=3))
-            self.cattn.append(ChannelAttention(rng, cout, red))
-            self.pattn.append(PixelAttention(rng, cout, red))
+            self.cattn.append(ChannelAttention(rng, cout))
+            self.pattn.append(PixelAttention(rng, cout))
             self.fuse.append(Conv(rng, 2 * cout, cout, k=3))
         self.final_up = Conv(rng, ch[0], bc * 4, k=3)
-        self.final_cattn = ChannelAttention(rng, bc, red)
-        self.final_pattn = PixelAttention(rng, bc, red)
+        self.final_cattn = ChannelAttention(rng, bc)
+        self.final_pattn = PixelAttention(rng, bc)
         self.final_conv = Conv(rng, bc, bc, k=3)
 
     def __call__(self, x: Tensor) -> Tensor:
-        _, _, h, w = x.shape
-        step = 1 << self.encoder.num_stages
-        if h % step or w % step:
-            raise ShapeError(
-                f"{h}x{w} not divisible by 2^{self.encoder.num_stages}"
-            )
         # popped, finest last, so each stage goes after its last use
         stages = self.encoder.stages(x)
         cur = stages.pop()
@@ -318,8 +282,7 @@ class Generator(Module):
     """The dehazing generator. ``draw=False`` neither draws nor allocates
     its conv weights and biases or the encoder's weights (each is a
     read-only zero view), for a caller that overwrites every parameter and
-    then draws a frozen encoder from ``encoder_seed`` (the checkpoint
-    loader)."""
+    then draws the frozen encoder (the checkpoint loader)."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, *, draw: bool = True):
         self.cfg = cfg
@@ -341,6 +304,10 @@ class Generator(Module):
                         len(cfg.encoder_channels) if cfg.use_ka_branch else 0)
 
     def __call__(self, x: Tensor) -> Tensor:
+        _, _, h, w = x.shape
+        m = self.size_multiple
+        if h % m or w % m:
+            raise ShapeError(f"{h}x{w} not divisible by {m}")
         feats = []
         if self.cfg.use_dwt_branch:
             feats.append(self.dwt_branch(x))
@@ -362,8 +329,8 @@ class Discriminator(Module):
         rng = np.random.default_rng(seed) if draw else None
         bc = cfg.base_channels
         chans = [3, bc, 2 * bc, 4 * bc, 4 * bc]
-        self.convs = [Conv(rng, chans[i], chans[i + 1], k=4, stride=2,
-                           padding=1) for i in range(4)]
+        self.convs = [Conv(rng, chans[i], chans[i + 1], k=4, stride=2)
+                      for i in range(4)]
         self.head = Conv(rng, 4 * bc, 1, k=1)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -450,11 +417,10 @@ def load_generator(directory) -> tuple[Generator, dict]:
     cfg = ModelConfig(**cfg_dict)
     gen = Generator(cfg, seed=manifest["seed"], draw=False)
     _load_params(gen, directory / "params")
-    if cfg.use_ka_branch and not cfg.encoder_trainable:
+    if cfg.use_ka_branch:
         # drawn only now: the KA branch's headers, which imply the encoder's
         # widths, have matched, so absurd widths fail before any is drawn
-        gen.ka_branch.encoder = ToyEncoder(cfg.encoder_channels,
-                                           seed=cfg.encoder_seed)
+        gen.ka_branch.encoder = ToyEncoder(cfg.encoder_channels)
     return gen, manifest
 
 

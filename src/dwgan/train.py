@@ -4,9 +4,11 @@ harness, all scaled to desk size.
 The schedule keeps the shape of the full-scale reference recipe: the
 learning rate starts at lr0 and halves at the 3/8, 5/8 and 6/8 points of
 the run (3000/5000/6000 of 8000 epochs, expressed as step fractions so
-toy runs inherit it). Alternation is one discriminator update then one generator
-update per batch. The held-out split is the last 20% of the generated
-pairs, never augmented, evaluated at full size.
+toy runs inherit it). Both networks use Adam with its default betas
+(0.9, 0.999) and eps 1e-8. Alternation is one discriminator update then
+one generator update per batch. The held-out split is the last 20% of the
+generated pairs, never augmented, evaluated at full size. Given an output
+directory, the run writes one checkpoint, after its last step.
 """
 
 from __future__ import annotations
@@ -32,32 +34,25 @@ class TrainConfig:
     crop: int = 64
     batch: int = 4
     lr0: float = 1e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    milestones: tuple[float, ...] = (3 / 8, 5 / 8, 6 / 8)
-    lr_factor: float = 0.5
     total_steps: int = 800
     seed: int = 0
     # a term is off exactly when its weight is 0; a gamma above 0 trains
     # the discriminator
     weights: LossWeights = field(default_factory=LossWeights)
     eval_every: int = 200
-    checkpoint_every: int = 0  # 0 = final checkpoint only
     holdout_fraction: float = 0.2
 
-    def __post_init__(self):
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError("milestones must be sorted ascending")
-        if any(not 0 < m < 1 for m in self.milestones):
-            raise ValueError("milestones must lie in (0, 1)")
-        if not 0 < self.lr_factor < 1:
-            raise ValueError("lr_factor must lie in (0, 1)")
+
+# the fractions of the run at which the learning rate is multiplied by
+# LR_FACTOR
+MILESTONES = (3 / 8, 5 / 8, 6 / 8)
+LR_FACTOR = 0.5
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Piecewise-constant schedule: lr0 * factor^(milestones passed)."""
-    passed = sum(1 for m in cfg.milestones if step >= m * cfg.total_steps)
-    return cfg.lr0 * cfg.lr_factor ** passed
+    """Piecewise-constant schedule: lr0 * LR_FACTOR^(milestones passed)."""
+    passed = sum(1 for m in MILESTONES if step >= m * cfg.total_steps)
+    return cfg.lr0 * LR_FACTOR ** passed
 
 
 def augment(pair: HazePair, rng: np.random.Generator,
@@ -91,11 +86,11 @@ class Adam:
     size of the largest parameter, allocated once.
     """
 
-    def __init__(self, params: dict[str, Tensor], betas=(0.9, 0.999),
-                 eps: float = 1e-8):
+    B1, B2 = 0.9, 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -112,7 +107,7 @@ class Adam:
         """
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.b1, self.b2
+        b1, b2 = self.B1, self.B2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -131,7 +126,7 @@ class Adam:
             # p = p - lr*mhat / (sqrt(vhat) + eps)
             np.multiply(np.divide(m, 1 - b1 ** t, out=a), lr, out=a)
             np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=b), out=b),
-                   self.eps, out=b)
+                   self.EPS, out=b)
             np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
 
     def zero_grad(self) -> None:
@@ -201,12 +196,12 @@ def train_gan(gen: Generator, disc: Discriminator | None,
     weights = cfg.weights
     if perceptual_cfg is None and weights.beta > 0:
         perceptual_cfg = PerceptualConfig()
-    gen_opt = Adam(gen.parameters(), betas=cfg.betas, eps=cfg.eps)
+    gen_opt = Adam(gen.parameters())
     disc_opt = None
     if weights.gamma > 0:
         if disc is None:
             raise ValueError("adversarial term enabled but no discriminator")
-        disc_opt = Adam(disc.parameters(), betas=cfg.betas, eps=cfg.eps)
+        disc_opt = Adam(disc.parameters())
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -267,10 +262,6 @@ def train_gan(gen: Generator, disc: Discriminator | None,
         if cfg.eval_every and (step + 1) % cfg.eval_every == 0:
             p, s = evaluate(gen, hold_pairs)
             evals.append(EvalResult(step=step + 1, psnr=p, ssim=s))
-        if (out_path is not None and cfg.checkpoint_every
-                and (step + 1) % cfg.checkpoint_every == 0):
-            save_checkpoint(out_path / f"step_{step + 1:06d}", gen, disc,
-                            step=step + 1)
 
     final_psnr, final_ssim = evaluate(gen, hold_pairs)
     base_psnr, base_ssim = baseline_metrics(hold_pairs)

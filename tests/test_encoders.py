@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from dwgan.encoders import ToyEncoder
 from dwgan.tensor import Tensor
@@ -29,23 +30,23 @@ class TestStages:
         assert np.any(a.data != b.data)
 
     def test_frozen_stages_receive_no_gradient(self):
-        enc = ToyEncoder(channels=(4, 8), seed=0, trainable=False)
+        enc = ToyEncoder(channels=(4, 8), seed=0)
         feats = enc.stages(rand_img(2))
         sum(f.sum() for f in feats).backward()
         assert all(w.grad is None for w in enc.weights)
-        assert list(enc.named_parameters()) != [] \
-            and all(not w.requires_grad for w in enc.weights)
-
-    def test_trainable_stages_receive_gradient(self):
-        enc = ToyEncoder(channels=(4, 8), seed=0, trainable=True)
-        feats = enc.stages(rand_img(2))
-        sum(f.sum() for f in feats).backward()
-        assert all(w.grad is not None and np.any(w.grad)
-                   for w in enc.weights)
+        assert all(not w.requires_grad for w in enc.weights)
 
 
-class TestWeightsIo:
-    def test_named_parameters_layout(self):
-        names = [n for n, _ in
-                 ToyEncoder(channels=(4, 8), seed=0).named_parameters("e")]
-        assert names == ["e.stage0.weight", "e.stage1.weight"]
+class TestWeights:
+    def test_draws_are_the_fan_in_uniforms(self):
+        # stage by stage from one generator, within sqrt(6 / (cin * 9))
+        rng = np.random.default_rng(3)
+        enc = ToyEncoder(channels=(4, 8), seed=3)
+        for w, (cout, cin) in zip(enc.weights, ((4, 3), (8, 4))):
+            bound = np.sqrt(6.0 / (cin * 9))
+            want = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
+            np.testing.assert_array_equal(w.data, want)
+
+    def test_absurd_undrawn_width_is_a_value_error(self):
+        with pytest.raises(ValueError, match="too large"):
+            ToyEncoder(channels=(4, 2 ** 40, 2 ** 40), draw=False)

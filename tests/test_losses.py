@@ -26,6 +26,13 @@ class IdentityExtractor:
         return [x]
 
 
+class TwoStageExtractor:
+    """Stub extractor whose stages are the input and twice the input."""
+
+    def stages(self, x):
+        return [x, x * 2.0]
+
+
 class TestSmoothL1:
     def test_zero_for_identical(self):
         a, _ = img_pair(0)
@@ -78,7 +85,7 @@ class TestPerceptual:
 
     def test_identity_extractor_is_mse(self):
         a, b = img_pair(4)
-        cfg = PerceptualConfig(extractor=IdentityExtractor(), num_stages=1)
+        cfg = PerceptualConfig(extractor=IdentityExtractor())
         mse = float(((a.data - b.data) ** 2).mean())
         assert perceptual(a, b, cfg).item() == pytest.approx(mse, abs=1e-15)
 
@@ -88,11 +95,12 @@ class TestPerceptual:
         perceptual(a, b).backward()
         assert b.grad is None or not np.any(b.grad)
 
-    def test_too_few_stages_errors(self):
+    def test_sums_every_stage(self):
         a, b = img_pair(6)
-        cfg = PerceptualConfig(extractor=IdentityExtractor(), num_stages=3)
-        with pytest.raises(ValueError):
-            perceptual(a, b, cfg)
+        cfg = PerceptualConfig(extractor=TwoStageExtractor())
+        mse = float(((a.data - b.data) ** 2).mean())
+        assert perceptual(a, b, cfg).item() == pytest.approx(5 * mse,
+                                                             rel=1e-14)
 
     def test_gradient(self):
         a, b = img_pair(7, h=8, w=8)

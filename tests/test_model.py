@@ -1,12 +1,15 @@
 import json
+import re
 import tracemalloc
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwgan.model import (ChannelAttention, Conv, Discriminator, DwtDown,
-                         DwtUp, Generator, ModelConfig, PixelAttention,
+                         DwtUp, Generator, ModelConfig, PixelAttention, _fits,
                          load_checkpoint, load_generator, save_checkpoint)
 from dwgan.tensor import ShapeError, Tensor, load_tensor, no_grad
 from dwgan.train import checkpoint_hash
@@ -106,12 +109,9 @@ class TestGenerator:
         assert dead == []
 
     def test_frozen_encoder_excluded_from_parameters(self):
-        frozen = Generator(small_cfg(), seed=0)
-        trainable = Generator(small_cfg(encoder_trainable=True), seed=0)
-        names_f = set(frozen.parameters())
-        names_t = set(trainable.parameters())
-        extra = names_t - names_f
-        assert extra and all("encoder" in n for n in extra)
+        gen = Generator(small_cfg(), seed=0)
+        assert not any("encoder" in n for n in gen.parameters())
+        assert not any(w.requires_grad for w in gen.ka_branch.encoder.weights)
 
     def test_dwt_modules_change_param_count(self):
         def count(gen):
@@ -181,11 +181,14 @@ class TestBlocks:
         with pytest.raises(ShapeError):
             conv(a, rand_img((2, 2, 4, 6), 26))
 
-    def test_conv_bias_toggle(self):
-        rng = np.random.default_rng(22)
-        conv = Conv(rng, 3, 5, k=3, bias=False)
-        assert conv.bias is None
-        assert all("bias" not in n for n, _ in conv.named_parameters())
+    @pytest.mark.parametrize("k, stride, out", [
+        (1, 1, 8), (3, 1, 8), (3, 2, 4), (4, 2, 4), (7, 1, 8)])
+    def test_conv_pads_half_the_kernel(self, k, stride, out):
+        # every conv pads (k - 1) // 2 and adds its bias
+        conv = Conv(np.random.default_rng(22), 3, 5, k=k, stride=stride)
+        assert conv.padding == (k - 1) // 2
+        assert [n for n, _ in conv.named_parameters()] == ["weight", "bias"]
+        assert conv(rand_img((1, 3, 8, 8), 27)).shape == (1, 5, out, out)
 
 
 class TestDiscriminator:
@@ -232,14 +235,15 @@ class TestCheckpoint:
         assert_round_trip(tmp_path, small_cfg(use_dwt_modules=False))
 
     @pytest.mark.parametrize("encoder", [
-        {"encoder_seed": 123, "encoder_channels": (8, 4, 8)},
-        {"encoder_trainable": True},
-    ], ids=["seed_and_channels", "trainable"])
+        {"encoder_channels": (8, 4, 8)},
+    ], ids=["seed_and_channels"])
     def test_round_trip_encoder_config(self, tmp_path, encoder):
-        # the encoder is rebuilt from the manifest config; only trainable
-        # encoder weights are stored as parameters
+        # no weight of the frozen encoder is stored: the outputs match only
+        # if the loader rebuilds it with the saved one's channels and seed 0
         assert_round_trip(tmp_path, small_cfg(use_dwt_modules=False,
                                               **encoder))
+        assert not any("encoder" in p.name
+                       for p in (tmp_path / "params").iterdir())
 
     def test_generator_only(self, tmp_path):
         gen = Generator(small_cfg(), seed=0)
@@ -272,19 +276,25 @@ class TestCheckpoint:
         (lambda m: m["config"].update(depth=2.0), "'depth'"),
         (lambda m: m["config"].update(base_channels=True), "'base_channels'"),
         (lambda m: m["config"].update(use_ka_branch=1), "'use_ka_branch'"),
-        (lambda m: m["config"].update(encoder_trainable="no"),
-         "'encoder_trainable'"),
+        (lambda m: m["config"].update(use_dwt_modules="no"),
+         "'use_dwt_modules'"),
         (lambda m: m.update(seed="0"), "'seed'"),
         (lambda m: m.update(disc_seed=1.0), "'disc_seed'"),
         (lambda m: m.update(config=[["depth", 2]]), "'config'"),
+        # a deleted setting is an unknown key, even at its old default
         (lambda m: m["config"].update(attention_reduction=0),
-         "attention_reduction"),
+         "unknown config key 'attention_reduction'"),
+        (lambda m: m["config"].update(encoder_seed=0),
+         "unknown config key 'encoder_seed'"),
+        (lambda m: m["config"].update(encoder_trainable=False),
+         "unknown config key 'encoder_trainable'"),
         (lambda m: m["config"].update(encoder_channels=[4, 0, 8]),
          "encoder_channels"),
     ], ids=["no_config", "no_seed", "unknown_key", "missing_key",
             "channels_int", "channels_str_item", "depth_str", "depth_float",
             "int_bool", "bool_int", "bool_str", "seed_str", "disc_seed_float",
-            "config_list", "reduction_zero", "channel_zero"])
+            "config_list", "reduction_zero", "deleted_encoder_seed",
+            "deleted_encoder_trainable", "channel_zero"])
     def test_manifest_config_keys_checked(self, tmp_path, edit, key):
         save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
         path = tmp_path / "manifest.json"
@@ -303,10 +313,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="manifest.json"):
             load_generator(tmp_path)
 
+    def test_formats_doc_lists_the_config_keys(self):
+        # the key table in docs/formats.md is the manifest's contract: its
+        # keys are ModelConfig's fields, in order, and each field's value
+        # passes the loader's type check for the documented JSON type only
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "formats.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` +\| ([a-z ]+?) +\|$", doc, re.M)
+        samples = {"integer": 2, "boolean": True, "list of integers": [2, 3]}
+        assert [k for k, _ in rows] == [f.name for f in fields(ModelConfig)]
+        for f, (_, kind) in zip(fields(ModelConfig), rows):
+            assert [t for t, v in samples.items() if _fits(f.default, v)] \
+                == [kind], f.name
+
     @pytest.mark.parametrize("cfg, field", [
-        (dict(attention_reduction=0), "attention_reduction"),
         (dict(encoder_channels=(4, 0, 8)), "encoder_channels"),
-    ], ids=["reduction_zero", "channel_zero"])
+    ], ids=["channel_zero"])
     def test_config_rejects_zero_divisors(self, cfg, field):
         with pytest.raises(ValueError, match=field):
             small_cfg(**cfg)
@@ -323,9 +345,7 @@ class TestCheckpoint:
         {"depth": 30}, {"depth": 12, "base_channels": 64},
         {"depth": 64, "base_channels": 64},
         {"encoder_channels": [4, 20000, 20000]},
-        {"encoder_channels": [4, 20000, 20000], "encoder_trainable": True},
-    ], ids=["depth30", "depth12_base64", "depth64_base64", "encoder_wide",
-            "encoder_wide_trainable"])
+    ], ids=["depth30", "depth12_base64", "depth64_base64", "encoder_wide"])
     def test_huge_config_fails_before_allocating(self, tmp_path, config):
         # such configs give weights that double per level; the loader must
         # allocate no weight or bias until its file's header has the

@@ -20,7 +20,7 @@ from dwgan.tensor import (Channels, GradCheckReport, ShapeError, Tensor,
                           grad_check, interleave2, leaky_relu, load_tensor,
                           log, mul, no_grad, pixel_shuffle, power, relu,
                           reshape, save_tensor, sigmoid, spatial_mean,
-                          subsample2, window)
+                          subsample2, tsum, window)
 
 
 def rand(shape, seed=0):
@@ -565,6 +565,82 @@ class TestPointwiseGradients:
         for f, xd in checks:
             rep = grad_check(f, Tensor(xd))
             assert rep.passed, (op, rep.max_rel_err)
+
+
+def _small(side=1):
+    """(B, C, H, W) with H and W at least ``side`` and at most
+    2 * 3 * 6 * 6 = 216 elements."""
+    return st.tuples(st.integers(1, 2), st.integers(1, 3),
+                     st.integers(side, 6), st.integers(side, 6))
+
+
+class TestStructuralGradients:
+    """grad_check of the reductions, the structural ops and ``window`` on
+    drawn small shapes. Each output is weighted by a drawn positive array,
+    so each input's gradient is its own weight (or sum of weights), not one
+    shared constant that a wrong index map would also produce."""
+
+    @staticmethod
+    def check(fn, xd, rng):
+        w = Tensor(rng.uniform(0.5, 1.5, fn(Tensor(xd)).shape))
+        rep = grad_check(lambda t: (fn(t) * w).sum(), Tensor(xd))
+        assert rep.passed, rep.max_rel_err
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=_small(), axes=st.sampled_from([None, (2, 3)]),
+           seed=st.integers(0, 2 ** 16))
+    def test_tsum(self, shape, axes, seed):
+        rng = np.random.default_rng(seed)
+        self.check(lambda t: tsum(t, axes), rng.normal(size=shape), rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=_small(), form=st.sampled_from(["flat", "rows", "column"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_reshape(self, shape, form, seed):
+        rng = np.random.default_rng(seed)
+        b, c, h, w = shape
+        to = {"flat": (b * c * h * w,), "rows": (b * c, h * w),
+              "column": (b, c * h * w, 1)}[form]
+        self.check(lambda t: reshape(t, to), rng.normal(size=shape), rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=_small(2),
+           oi=st.integers(0, 1), oj=st.integers(0, 1),
+           seed=st.integers(0, 2 ** 16))
+    def test_subsample2(self, shape, oi, oj, seed):
+        rng = np.random.default_rng(seed)
+        self.check(lambda t: subsample2(t, oi, oj), rng.normal(size=shape),
+                   rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.integers(1, 3),
+                           st.integers(1, 3), st.integers(1, 3)),
+           which=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+    def test_interleave2(self, shape, which, seed):
+        # the gradient of one of the four phases, the other three fixed
+        rng = np.random.default_rng(seed)
+        parts = [Tensor(rng.normal(size=shape)) for _ in range(4)]
+
+        def fn(t):
+            return interleave2(*parts[:which], t, *parts[which + 1:])
+
+        self.check(fn, rng.normal(size=shape), rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.sampled_from([4, 8]),
+                           st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2 ** 16))
+    def test_pixel_shuffle(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        self.check(lambda t: pixel_shuffle(t, 2), rng.normal(size=shape), rng)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=_small(3),
+           k=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+    def test_window(self, shape, k, seed):
+        rng = np.random.default_rng(seed)
+        taps = rng.uniform(0.1, 1.0, k)
+        self.check(lambda t: window(t, taps), rng.normal(size=shape), rng)
 
 
 class TestBackward:
