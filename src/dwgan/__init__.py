@@ -5,8 +5,8 @@ from .tensor import Tensor, ShapeError, grad_check, load_tensor, save_tensor
 from .wavelet import Subbands, dwt2, idwt2
 from .hazesim import (HazePair, HazeParams, apply_haze, invert_haze,
                       make_base_images, make_dataset, transmission)
-from .metrics import MsSsimConfig, gray_stats, ms_ssim, psnr, ssim
-from .losses import LossWeights, PerceptualConfig, smooth_l1, total_loss
+from .metrics import gray_stats, ms_ssim, psnr, ssim
+from .losses import LossWeights, smooth_l1, total_loss
 from .model import (Discriminator, Generator, ModelConfig, load_checkpoint,
                     load_generator, save_checkpoint)
 from .train import Adam, TrainConfig, ablation_run, augment, lr_at, train_gan
@@ -16,8 +16,8 @@ __all__ = [
     "Subbands", "dwt2", "idwt2",
     "HazePair", "HazeParams", "apply_haze", "invert_haze",
     "make_base_images", "make_dataset", "transmission",
-    "MsSsimConfig", "gray_stats", "ms_ssim", "psnr", "ssim",
-    "LossWeights", "PerceptualConfig", "smooth_l1", "total_loss",
+    "gray_stats", "ms_ssim", "psnr", "ssim",
+    "LossWeights", "smooth_l1", "total_loss",
     "Discriminator", "Generator", "ModelConfig", "load_checkpoint",
     "load_generator", "save_checkpoint",
     "Adam", "TrainConfig", "ablation_run", "augment", "lr_at", "train_gan",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datatool, hazesim
-from .metrics import MsSsimConfig, fit_levels, psnr, ssim_and_ms_ssim
+from .metrics import fit_levels, psnr, ssim_and_ms_ssim
 from .model import Discriminator, Generator, ModelConfig, load_generator
 from .tensor import ShapeError, Tensor, load_tensor, no_grad, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
@@ -89,10 +89,10 @@ def cmd_dwt(args) -> int:
 _METRIC_FIELDS = ["filename", "psnr_db", "ssim", "ms_ssim"]
 
 
-def _fitted(pred: np.ndarray, tgt: np.ndarray, ms_cfgs: dict) -> MsSsimConfig:
-    """The MS-SSIM config of a pair's size, from ``ms_cfgs``, which maps an
-    image size to the config fitted to it, so a command fits (and warns
-    about a level reduction) once per size rather than once per pair.
+def _fitted(pred: np.ndarray, tgt: np.ndarray, ms_levels: dict) -> int:
+    """The MS-SSIM level count of a pair's size, from ``ms_levels``, which
+    maps an image size to ``fit_levels`` of it, so a command fits (and
+    warns about a level reduction) once per size rather than once per pair.
     Raises ShapeError when the two sizes differ or a side is shorter than
     the SSIM window."""
     if pred.shape != tgt.shape:
@@ -100,18 +100,18 @@ def _fitted(pred: np.ndarray, tgt: np.ndarray, ms_cfgs: dict) -> MsSsimConfig:
                          f"target {tgt.shape[1]}x{tgt.shape[2]} differ in "
                          "size")
     size = pred.shape[1:]
-    if size not in ms_cfgs:
-        ms_cfgs[size] = fit_levels(MsSsimConfig(), *size)
-    return ms_cfgs[size]
+    if size not in ms_levels:
+        ms_levels[size] = fit_levels(*size)
+    return ms_levels[size]
 
 
 def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
-                 ms_cfgs: dict) -> dict:
-    """One metrics.csv row, scored with ``_fitted``'s config. SSIM and
+                 ms_levels: dict) -> dict:
+    """One metrics.csv row, scored with ``_fitted``'s level count. SSIM and
     MS-SSIM share their level-0 maps (``ssim_and_ms_ssim``)."""
-    cfg = _fitted(pred, tgt, ms_cfgs)
+    levels = _fitted(pred, tgt, ms_levels)
     psnr_db = psnr(pred, tgt)
-    s, ms = ssim_and_ms_ssim(pred[None], tgt[None], cfg)
+    s, ms = ssim_and_ms_ssim(pred[None], tgt[None], levels)
     return {"filename": filename, "psnr_db": f"{psnr_db:.6f}",
             "ssim": f"{s:.6f}", "ms_ssim": f"{ms:.6f}"}
 
@@ -119,12 +119,12 @@ def _metrics_row(filename: str, pred: np.ndarray, tgt: np.ndarray,
 def cmd_metrics(args) -> int:
     if len(args.images) % 2:
         raise ValueError("metrics expects PRED TARGET file pairs")
-    rows, ms_cfgs = [], {}
+    rows, ms_levels = [], {}
     for i in range(0, len(args.images), 2):
         pred_path, tgt_path = args.images[i], args.images[i + 1]
         rows.append(_metrics_row(Path(pred_path).name,
                                  datatool.read_image(pred_path),
-                                 datatool.read_image(tgt_path), ms_cfgs))
+                                 datatool.read_image(tgt_path), ms_levels))
     _write_csv(args.out, _METRIC_FIELDS, rows)
     return 0
 
@@ -275,17 +275,17 @@ def cmd_dehaze(args) -> int:
     # dehazed, so one that cannot be dehazed or scored writes nothing
     images = [datatool.read_image(path) for path in args.images]
     tgts = [datatool.read_image(path) for path in targets]
-    rows, ms_cfgs = [], {}
+    rows, ms_levels = [], {}
     for img in images:
         _padding(gen, img)
     for img, tgt in zip(images, tgts):
-        _fitted(img, tgt, ms_cfgs)
+        _fitted(img, tgt, ms_levels)
     for i, path in enumerate(args.images):
         dehazed = _dehaze(gen, images[i])
         datatool.write_image(out / Path(path).name, dehazed)
         if tgts:
             rows.append(_metrics_row(Path(path).name, dehazed, tgts[i],
-                                     ms_cfgs))
+                                     ms_levels))
     if rows:
         _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")

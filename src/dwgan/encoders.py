@@ -3,9 +3,9 @@ the model.
 
 The knowledge-adaptation branch and the perceptual loss both consume an
 encoder that maps a 3-channel image to a pyramid of feature stages, each
-at half the previous resolution. It is a fixed, seeded
-strided-convolution pyramid standing in for a pretrained backbone, so its
-weights follow from (channels, seed) alone, and it is never trained.
+at half the previous resolution. It is a fixed strided-convolution
+pyramid standing in for a pretrained backbone, drawn from seed 0, so its
+weights follow from its channel widths alone, and it is never trained.
 """
 
 from __future__ import annotations
@@ -40,17 +40,17 @@ class ToyEncoder:
     """Seeded strided-conv feature pyramid.
 
     Each stage is a 3x3 stride-2 convolution followed by ReLU, so stage j
-    has spatial extent H / 2^(j+1). Weights are deterministic in the seed
-    and frozen.
+    has spatial extent H / 2^(j+1). Weights are drawn from seed 0 and
+    frozen.
     """
 
-    def __init__(self, channels: tuple[int, ...] = (16, 32, 64, 64),
-                 seed: int = 0, *, draw: bool = True):
+    def __init__(self, channels: tuple[int, ...] = (16, 32, 64, 64), *,
+                 draw: bool = True):
         """``draw=False`` neither draws nor allocates the weights: each is
         an ``_unset`` view, for the checkpoint loader, which draws the
         encoder only once the files' headers have confirmed its widths."""
         self.channels = tuple(int(c) for c in channels)
-        rng = np.random.default_rng(seed) if draw else None
+        rng = np.random.default_rng(0) if draw else None
         self.weights: list[Tensor] = []
         cin = 3
         for cout in self.channels:

@@ -5,20 +5,24 @@ total = smooth_l1 + alpha * (1 - MS-SSIM) + beta * perceptual
 with defaults alpha=0.2, beta=0.001, gamma=0.005. All terms are
 differentiable through the tensor engine; the adversarial term averages
 patch probabilities to one probability per sample before the log, and
-probabilities are clamped at 1e-8 to keep the logs finite.
+probabilities are clamped at 1e-8 to keep the logs finite. The perceptual
+term reads the three stages of one frozen ``ToyEncoder``, 16, 32 and 64
+channels wide (``ENCODER``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoders import ToyEncoder
-from .metrics import MsSsimConfig, ms_ssim_tensor
+from .metrics import ms_ssim_tensor
 from .tensor import ShapeError, Tensor, clip_min, log, reshape, spatial_mean
 
 PROB_EPS = 1e-8
+# the perceptual distance's feature extractor, drawn once at import
+ENCODER = ToyEncoder((16, 32, 64))
 
 
 @dataclass
@@ -30,16 +34,6 @@ class LossWeights:
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("loss weights must be non-negative")
-
-
-@dataclass
-class PerceptualConfig:
-    """The feature extractor of the perceptual distance: any object whose
-    ``stages(x)`` returns a list of feature maps. The default is a
-    three-stage ``ToyEncoder``."""
-
-    extractor: object = field(default_factory=lambda: ToyEncoder(
-        channels=(16, 32, 64), seed=0))
 
 
 def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
@@ -60,15 +54,13 @@ def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
     return (quad_mask * quad + (1.0 - quad_mask) * lin).mean()
 
 
-def perceptual(pred: Tensor, target: Tensor,
-               cfg: PerceptualConfig | None = None) -> Tensor:
-    """Sum over every stage of the extractor of the per-element mean
+def perceptual(pred: Tensor, target: Tensor) -> Tensor:
+    """Sum over every stage of ``ENCODER`` of the per-element mean
     squared feature distance (equivalently 1/(C_j H_j W_j) *
     ||phi_j(target) - phi_j(pred)||^2 averaged over the batch). Gradient
     flows to pred only."""
-    cfg = cfg or PerceptualConfig()
-    feats_pred = cfg.extractor.stages(pred)
-    feats_tgt = cfg.extractor.stages(target.detach())
+    feats_pred = ENCODER.stages(pred)
+    feats_tgt = ENCODER.stages(target.detach())
     total: Tensor | None = None
     for fp, ft in zip(feats_pred, feats_tgt):
         diff = fp - ft.detach()
@@ -79,9 +71,10 @@ def perceptual(pred: Tensor, target: Tensor,
 
 
 def ms_ssim_loss(pred: Tensor, target: Tensor,
-                 cfg: MsSsimConfig | None = None) -> Tensor:
-    """1 - MS-SSIM; zero for identical inputs, at most 2."""
-    return 1.0 - ms_ssim_tensor(pred, target, cfg)
+                 levels: int | None = None) -> Tensor:
+    """1 - MS-SSIM over ``levels`` levels (None: ``fit_levels``); zero for
+    identical inputs, at most 2."""
+    return 1.0 - ms_ssim_tensor(pred, target, levels)
 
 
 def _per_sample_prob(d_out: Tensor) -> Tensor:
@@ -110,11 +103,10 @@ def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
 
 def total_loss(pred: Tensor, target: Tensor, d_out: Tensor | None,
                weights: LossWeights | None = None,
-               perceptual_cfg: PerceptualConfig | None = None,
-               ms_ssim_cfg: MsSsimConfig | None = None,
-               ) -> tuple[Tensor, dict[str, float]]:
+               levels: int | None = None) -> tuple[Tensor, dict[str, float]]:
     """Weighted sum with a per-term breakdown for logging.
 
+    ``levels`` is the MS-SSIM term's level count (None: ``fit_levels``).
     Terms with zero weight (or a missing discriminator output) are skipped
     and reported as 0. Breakdown values are the unweighted terms; the
     'total' entry always equals l1 + alpha*ms_ssim + beta*perceptual
@@ -125,11 +117,11 @@ def total_loss(pred: Tensor, target: Tensor, d_out: Tensor | None,
     breakdown = {"l1": total.item(), "ms_ssim": 0.0, "perceptual": 0.0,
                  "adv": 0.0}
     if w.alpha > 0:
-        term = ms_ssim_loss(pred, target, ms_ssim_cfg)
+        term = ms_ssim_loss(pred, target, levels)
         breakdown["ms_ssim"] = term.item()
         total = total + w.alpha * term
     if w.beta > 0:
-        term = perceptual(pred, target, perceptual_cfg)
+        term = perceptual(pred, target)
         breakdown["perceptual"] = term.item()
         total = total + w.beta * term
     if w.gamma > 0 and d_out is not None:

@@ -1,11 +1,14 @@
 """Image-quality metrics: PSNR, SSIM, MS-SSIM and gray-level statistics.
 
-SSIM uses the standard constants of Wang et al. (2004): an 11x11
-Gaussian window (sigma 1.5) and the stabilizers C1 = (0.01*L)^2,
-C2 = (0.03*L)^2 for a dynamic range L of 1. It is computed over the valid
-region (no padding), per channel, then averaged. MS-SSIM multiplies per-level
-contrast/structure terms over a dyadic pyramid (2x2 mean pooling between
-levels) and applies the luminance term only at the coarsest level.
+Every metric takes images with a dynamic range L of 1. PSNR is
+10*log10(1 / MSE), capped at 100 dB. SSIM uses the standard constants of
+Wang et al. (2004): an 11x11 Gaussian window (sigma 1.5) and the
+stabilizers C1 = (0.01*L)^2, C2 = (0.03*L)^2. It is computed over the
+valid region (no padding), per channel, then averaged. MS-SSIM multiplies
+per-level contrast/structure terms over a dyadic pyramid (2x2 mean pooling
+between levels) and applies the luminance term only at the coarsest level.
+Its levels weigh the five scales of Wang et al. (2003); an image too small
+for all five uses the leading ``fit_levels(h, w)`` of them, renormalized.
 
 Each window filter is one ``tensor.window`` call: the separable Gaussian
 runs along H and then along W as products with a band matrix of the taps,
@@ -33,7 +36,6 @@ tensors or arrays and return plain floats.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,8 +47,8 @@ from .tensor import conv2d  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
-# Community-default per-level MS-SSIM exponents (coarsest last); the
-# luminance exponent equals the last entry.
+# The per-level MS-SSIM exponents of Wang et al. (2003), coarsest last;
+# the luminance exponent equals the last entry.
 DEFAULT_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
@@ -56,15 +58,8 @@ WINDOW = 11
 SIGMA = 1.5
 C1 = 0.01 ** 2
 C2 = 0.03 ** 2
-
-
-@dataclass
-class MsSsimConfig:
-    weights: tuple[float, ...] = DEFAULT_MSSSIM_WEIGHTS
-
-    @property
-    def levels(self) -> int:
-        return len(self.weights)
+# PSNR of identical images, and the most it reports
+PSNR_CAP_DB = 100.0
 
 
 def gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -150,55 +145,60 @@ def ssim(a, b) -> tuple[float, np.ndarray]:
     return float(smap.data.mean()), smap.data
 
 
-def fit_levels(cfg: MsSsimConfig, h: int, w: int) -> MsSsimConfig:
-    """``cfg`` with its weights cut to the levels an h x w image supports,
-    warning when it cuts. Each pooling halves the dims, so level m needs a
-    min dim >= window * 2^(m-1)."""
-    max_levels = 0
+def fit_levels(h: int, w: int) -> int:
+    """The MS-SSIM levels an h x w image supports, at most the five of
+    ``DEFAULT_MSSSIM_WEIGHTS``, warning when there are fewer. Each pooling
+    halves the dims, so level m needs a min dim >= window * 2^(m-1)."""
+    levels = 0
     m = min(h, w)
     while m >= WINDOW:
-        max_levels += 1
+        levels += 1
         m //= 2
-    if max_levels < 1:
+    if levels < 1:
         raise ShapeError(f"image {h}x{w} smaller than window {WINDOW}")
-    if max_levels >= cfg.levels:
-        return cfg
+    full = len(DEFAULT_MSSSIM_WEIGHTS)
+    if levels >= full:
+        return full
     logger.warning("ms_ssim: reducing levels %d -> %d for %dx%d input",
-                   cfg.levels, max_levels, h, w)
-    return replace(cfg, weights=cfg.weights[:max_levels])
+                   full, levels, h, w)
+    return levels
 
 
-def ms_ssim_tensor(a, b, cfg: MsSsimConfig | None = None) -> Tensor:
-    """Differentiable MS-SSIM value.
+def ms_ssim_tensor(a, b, levels: int | None = None) -> Tensor:
+    """Differentiable MS-SSIM value over ``levels`` pyramid levels.
 
-    The level count is reduced by ``fit_levels`` (with renormalized
-    weights) when the image is too small for the full pyramid;
-    contrast/structure bases are floored at 1e-6 before the fractional
-    powers.
+    ``levels`` None is ``fit_levels`` of the image's size, which warns
+    when the image is too small for the full pyramid; to warn once, a
+    caller scoring many images of one size passes that count. The leading
+    ``levels`` weights are renormalized; contrast/structure bases are
+    floored at 1e-6 before the fractional powers.
     """
     a, b = _as_pair(a, b)
-    cfg = fit_levels(cfg or MsSsimConfig(), a.shape[2], a.shape[3])
-    return _ms_ssim(a, b, cfg, _ssim_maps(a, b, luminance=cfg.levels == 1))
+    if levels is None:
+        levels = fit_levels(a.shape[2], a.shape[3])
+    return _ms_ssim(a, b, levels, _ssim_maps(a, b, luminance=levels == 1))
 
 
-def ssim_and_ms_ssim(a, b, cfg: MsSsimConfig | None = None
+def ssim_and_ms_ssim(a, b, levels: int | None = None
                      ) -> tuple[float, float]:
-    """``(ssim(a, b)[0], ms_ssim(a, b, cfg))`` with the same bits,
+    """``(ssim(a, b)[0], ms_ssim(a, b, levels))`` with the same bits,
     from one set of level-0 maps: level 0's contrast/structure map comes
     from the same ops with or without the luminance map."""
     a, b = _as_pair(a, b)
-    cfg = fit_levels(cfg or MsSsimConfig(), a.shape[2], a.shape[3])
+    if levels is None:
+        levels = fit_levels(a.shape[2], a.shape[3])
     maps = _ssim_maps(a, b, luminance=True)
     return (float((maps[0] * maps[1]).data.mean()),
-            _ms_ssim(a, b, cfg, maps).item())
+            _ms_ssim(a, b, levels, maps).item())
 
 
-def _ms_ssim(a: Tensor, b: Tensor, cfg: MsSsimConfig,
+def _ms_ssim(a: Tensor, b: Tensor, levels: int,
              maps: tuple[Tensor | None, Tensor]) -> Tensor:
-    """MS-SSIM of a fitted ``cfg`` from level 0's ``_ssim_maps``, which
+    """MS-SSIM over ``levels`` levels from level 0's ``_ssim_maps``, which
     hold the luminance map when level 0 is the coarsest."""
-    levels = cfg.levels
-    weights = np.asarray(cfg.weights, dtype=np.float64)
+    if not 1 <= levels <= len(DEFAULT_MSSSIM_WEIGHTS):
+        raise ValueError(f"ms_ssim levels {levels} not in 1..5")
+    weights = np.asarray(DEFAULT_MSSSIM_WEIGHTS[:levels], dtype=np.float64)
     weights = weights / weights.sum()
 
     # Coarser levels contribute their mean contrast/structure term raised
@@ -235,12 +235,13 @@ def _ms_ssim(a: Tensor, b: Tensor, cfg: MsSsimConfig,
     return result
 
 
-def ms_ssim(a, b, cfg: MsSsimConfig | None = None) -> float:
-    return ms_ssim_tensor(a, b, cfg).item()
+def ms_ssim(a, b, levels: int | None = None) -> float:
+    return ms_ssim_tensor(a, b, levels).item()
 
 
-def psnr(a, b, dynamic_range: float = 1.0, cap_db: float = 100.0) -> float:
-    """10*log10(L^2 / MSE), capped at 100 dB when the images are identical."""
+def psnr(a, b) -> float:
+    """10*log10(1 / MSE) for a dynamic range of 1, capped at
+    ``PSNR_CAP_DB``, which is also the PSNR of identical images."""
     ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
     bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     if ad.shape != bd.shape:
@@ -249,8 +250,8 @@ def psnr(a, b, dynamic_range: float = 1.0, cap_db: float = 100.0) -> float:
         raise ValueError("psnr requires finite inputs")
     mse = float(np.mean((ad - bd) ** 2))
     if mse == 0.0:
-        return cap_db
-    return min(cap_db, 10.0 * np.log10(dynamic_range ** 2 / mse))
+        return PSNR_CAP_DB
+    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))
 
 
 def gray_stats(images) -> tuple[float, float]:

@@ -7,8 +7,9 @@ the run (3000/5000/6000 of 8000 epochs, expressed as step fractions so
 toy runs inherit it). Both networks use Adam with its default betas
 (0.9, 0.999) and eps 1e-8. Alternation is one discriminator update then
 one generator update per batch. The held-out split is the last 20% of the
-generated pairs, never augmented, evaluated at full size. Given an output
-directory, the run writes one checkpoint, after its last step.
+generated pairs (at least one pair, so a run needs two), never augmented,
+evaluated at full size. Given an output directory, the run writes one
+checkpoint, after its last step.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .hazesim import HazePair, make_base_images, make_dataset
-from .losses import (LossWeights, PerceptualConfig, discriminator_loss,
-                     total_loss)
-from .metrics import MsSsimConfig, fit_levels, psnr, ssim
+from .losses import LossWeights, discriminator_loss, total_loss
+from .metrics import fit_levels, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, save_checkpoint
 from .tensor import Tensor, no_grad
 
@@ -40,7 +41,16 @@ class TrainConfig:
     # the discriminator
     weights: LossWeights = field(default_factory=LossWeights)
     eval_every: int = 200
-    holdout_fraction: float = 0.2
+    # the trailing share of the dataset held out for evaluation
+    holdout_fraction: ClassVar[float] = 0.2
+
+    def __post_init__(self):
+        if self.crop < 1 or self.batch < 1:
+            raise ValueError("crop and batch must be >= 1")
+        if self.total_steps < 0 or self.eval_every < 0:
+            raise ValueError("total_steps and eval_every must be >= 0")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be finite and > 0, got {self.lr0}")
 
 
 # the fractions of the run at which the learning rate is multiplied by
@@ -176,8 +186,7 @@ def baseline_metrics(pairs: list[HazePair]) -> tuple[float, float]:
 
 def train_gan(gen: Generator, disc: Discriminator | None,
               dataset: list[HazePair], cfg: TrainConfig,
-              out_dir: str | Path | None = None,
-              perceptual_cfg: PerceptualConfig | None = None) -> TrainResult:
+              out_dir: str | Path | None = None) -> TrainResult:
     """Train the generator (and the discriminator when the adversarial
     weight ``cfg.weights.gamma`` is above 0) on the leading split of the
     dataset; the trailing ``holdout_fraction`` is held out for evaluation.
@@ -185,17 +194,15 @@ def train_gan(gen: Generator, disc: Discriminator | None,
     Deterministic under (cfg.seed, model seeds). Aborts on a non-finite
     total loss.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
+    if len(dataset) < 2:
+        raise ValueError(f"dataset of {len(dataset)} pairs: training needs "
+                         "at least 2, since one pair must be held out")
     rng = np.random.default_rng(cfg.seed)
-    n_hold = max(1, int(len(dataset) * cfg.holdout_fraction)) \
-        if len(dataset) > 1 else 0
-    train_pairs = dataset[:len(dataset) - n_hold] if n_hold else dataset
-    hold_pairs = dataset[len(dataset) - n_hold:] if n_hold else dataset
+    n_hold = max(1, int(len(dataset) * cfg.holdout_fraction))
+    train_pairs = dataset[:len(dataset) - n_hold]
+    hold_pairs = dataset[len(dataset) - n_hold:]
 
     weights = cfg.weights
-    if perceptual_cfg is None and weights.beta > 0:
-        perceptual_cfg = PerceptualConfig()
     gen_opt = Adam(gen.parameters())
     disc_opt = None
     if weights.gamma > 0:
@@ -211,9 +218,7 @@ def train_gan(gen: Generator, disc: Discriminator | None,
     evals: list[EvalResult] = []
     # every crop has the same size, so fit the MS-SSIM pyramid (and warn
     # about a reduction) once rather than on every step
-    ms_cfg = MsSsimConfig()
-    if weights.alpha > 0:
-        ms_cfg = fit_levels(ms_cfg, cfg.crop, cfg.crop)
+    levels = fit_levels(cfg.crop, cfg.crop) if weights.alpha > 0 else None
     for step in range(cfg.total_steps):
         lr = lr_at(step, cfg)
         idx = rng.integers(0, len(train_pairs), size=cfg.batch)
@@ -248,8 +253,7 @@ def train_gan(gen: Generator, disc: Discriminator | None,
             d_out = None
 
         loss, breakdown = total_loss(pred, clear, d_out, weights,
-                                     perceptual_cfg=perceptual_cfg,
-                                     ms_ssim_cfg=ms_cfg)
+                                     levels=levels)
         if not math.isfinite(breakdown["total"]):
             raise FloatingPointError(f"total loss diverged at step {step}")
         loss.backward()

@@ -13,9 +13,9 @@ import pytest
 from dwgan.datatool import match_brightness, read_image, write_image
 from dwgan.hazesim import (HOMOGENEOUS, apply_haze, invert_haze,
                            make_base_images, make_dataset, sample_homogeneous)
-from dwgan.losses import (LossWeights, PerceptualConfig, adversarial_gen,
-                          ms_ssim_loss, perceptual, smooth_l1, total_loss)
-from dwgan.metrics import MsSsimConfig, ms_ssim, psnr, ssim
+from dwgan.losses import (LossWeights, adversarial_gen, ms_ssim_loss,
+                          perceptual, smooth_l1, total_loss)
+from dwgan.metrics import ms_ssim, psnr, ssim
 from dwgan.cli import main as cli_main
 from dwgan.model import (ChannelAttention, Discriminator, DwtDown, DwtUp,
                          Generator, ModelConfig, PixelAttention)
@@ -77,7 +77,6 @@ def test_gradient_suite():
     up = DwtUp(rng, 8, 4, c_hf=4)
     hf = tuple(rt((1, 4, 8, 8), 6 + i) for i in range(3))
     w16 = rt((1, 8, 16, 16), 9)
-    pcfg = PerceptualConfig()
     checks = [
         ("conv2d", lambda t: conv2d(t, k, 1, 1).sum(),
          rt((1, 3, 16, 16), 10), 1e-4),
@@ -93,15 +92,12 @@ def test_gradient_suite():
          + sum(b.sum() for b in down(t)[1]), rt((1, 4, 16, 16), 30), 1e-4),
         ("dwt_up", lambda t: up(t, hf).sum(), rt((1, 8, 8, 8), 15), 1e-4),
         ("smooth_l1", lambda t: smooth_l1(t, tgt), img, 1e-4),
-        ("perceptual", lambda t: perceptual(t, tgt, pcfg), img, 1e-4),
-        ("ms_ssim", lambda t: ms_ssim_loss(t, tgt,
-                                           MsSsimConfig(weights=(1.0,))),
-         img, 1e-3),
+        ("perceptual", lambda t: perceptual(t, tgt), img, 1e-4),
+        ("ms_ssim", lambda t: ms_ssim_loss(t, tgt, 1), img, 1e-3),
         ("adversarial", lambda t: adversarial_gen(sigmoid(t)),
          rt((2, 1, 4, 4), 16), 1e-4),
         ("total_loss", lambda t: total_loss(
-            t, tgt, Tensor(np.full(1, 0.6)),
-            ms_ssim_cfg=MsSsimConfig(weights=(1.0,)))[0], img, 1e-3),
+            t, tgt, Tensor(np.full(1, 0.6)), levels=1)[0], img, 1e-3),
     ]
     worst = []
     for name, fn, x, tol in checks:

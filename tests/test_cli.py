@@ -202,12 +202,29 @@ class TestTrainDehaze:
         # explicit zeros are kept, not replaced by the defaults
         assert train("steps = 0\n" + base) == (0, [])
         assert train("steps = 3\n" + base, "--steps", "0") == (0, [])
-        rc, rows = train("steps = 1\nlr0 = 1e-3\n" + base, "--lr", "0")
-        assert rc == 0 and float(rows[0]["lr"]) == 0.0
+        # the flag's 0 is kept over the file's lr0, and cannot train
+        rc, err = train("steps = 1\nlr0 = 1e-3\n" + base, "--lr", "0")
+        assert rc == 1 and "lr0 must be finite and > 0" in err
         rc, err = train("base_chanels = 4\nsteps = 1\n")
         assert rc == 1 and "'base_chanels'" in err
         rc, err = train("steps = two\n" + base)
         assert rc == 1 and "steps" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "-1"], "lr0 must be finite and > 0"),
+        (["--steps", "-3"], "total_steps and eval_every must be >= 0"),
+        (["--batch", "0"], "crop and batch must be >= 1"),
+        (["--n-pairs", "1"], "one pair must be held out"),
+    ], ids=["lr", "steps", "batch", "one_pair"])
+    def test_untrainable_setting_fails_cleanly(self, tmp_path, capsys, flags,
+                                               message):
+        run = tmp_path / "run"
+        assert main(["train", "--base-channels", "4", "--depth", "1",
+                     "--crop", "16", "--image-size", "16", "--no-adv",
+                     "--out", str(run), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not run.exists()
 
     def test_dehaze_target_warns_once(self, tmp_path, caplog):
         ckpt = tmp_path / "ckpt"

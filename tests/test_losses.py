@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dwgan.losses import (PROB_EPS, LossWeights, PerceptualConfig,
-                          adversarial_gen, discriminator_loss, ms_ssim_loss,
-                          perceptual, smooth_l1, total_loss)
-from dwgan.metrics import MsSsimConfig
+from dwgan.losses import (ENCODER, PROB_EPS, LossWeights, adversarial_gen,
+                          discriminator_loss, ms_ssim_loss, perceptual,
+                          smooth_l1, total_loss)
 from dwgan.tensor import ShapeError, Tensor, grad_check, sigmoid
 
 
@@ -17,20 +16,6 @@ def img_pair(seed, h=16, w=16, b=1):
     a = rng.uniform(0, 1, (b, 3, h, w))
     bb = np.clip(a + rng.uniform(-0.2, 0.2, a.shape), 0, 1)
     return Tensor(a), Tensor(bb)
-
-
-class IdentityExtractor:
-    """Stub extractor whose single stage is the input itself."""
-
-    def stages(self, x):
-        return [x]
-
-
-class TwoStageExtractor:
-    """Stub extractor whose stages are the input and twice the input."""
-
-    def stages(self, x):
-        return [x, x * 2.0]
 
 
 class TestSmoothL1:
@@ -83,12 +68,6 @@ class TestPerceptual:
         a, _ = img_pair(3)
         assert perceptual(a, a).item() == pytest.approx(0.0, abs=1e-20)
 
-    def test_identity_extractor_is_mse(self):
-        a, b = img_pair(4)
-        cfg = PerceptualConfig(extractor=IdentityExtractor())
-        mse = float(((a.data - b.data) ** 2).mean())
-        assert perceptual(a, b, cfg).item() == pytest.approx(mse, abs=1e-15)
-
     def test_no_gradient_to_target(self):
         a, b = img_pair(5)
         b.requires_grad = True
@@ -96,11 +75,14 @@ class TestPerceptual:
         assert b.grad is None or not np.any(b.grad)
 
     def test_sums_every_stage(self):
+        # the per-stage mean squared feature distances of the frozen
+        # 16/32/64-channel encoder, summed by hand
         a, b = img_pair(6)
-        cfg = PerceptualConfig(extractor=TwoStageExtractor())
-        mse = float(((a.data - b.data) ** 2).mean())
-        assert perceptual(a, b, cfg).item() == pytest.approx(5 * mse,
-                                                             rel=1e-14)
+        assert ENCODER.channels == (16, 32, 64)
+        want = sum(float(((fa.data - fb.data) ** 2).mean())
+                   for fa, fb in zip(ENCODER.stages(a), ENCODER.stages(b)))
+        assert want > 0
+        assert perceptual(a, b).item() == pytest.approx(want, rel=1e-14)
 
     def test_gradient(self):
         a, b = img_pair(7, h=8, w=8)
@@ -111,17 +93,15 @@ class TestPerceptual:
 class TestMsSsimLoss:
     def test_zero_for_identical(self):
         a, _ = img_pair(8, 32, 32)
-        cfg = MsSsimConfig(weights=(1.0,))
-        assert ms_ssim_loss(a, a, cfg).item() == pytest.approx(0.0, abs=1e-15)
+        assert ms_ssim_loss(a, a, 1).item() == pytest.approx(0.0, abs=1e-15)
 
     def test_positive_for_different(self):
         a, b = img_pair(9, 32, 32)
-        assert ms_ssim_loss(a, b, MsSsimConfig(weights=(1.0,))).item() > 0
+        assert ms_ssim_loss(a, b, 1).item() > 0
 
     def test_gradient(self):
         a, b = img_pair(10, 16, 16)
-        cfg = MsSsimConfig(weights=(1.0,))
-        rep = grad_check(lambda t: ms_ssim_loss(t, b, cfg), a, tol=1e-3)
+        rep = grad_check(lambda t: ms_ssim_loss(t, b, 1), a, tol=1e-3)
         assert rep.passed, rep.max_rel_err
 
 
@@ -200,7 +180,6 @@ class TestTotalLoss:
     def test_gradient_of_total(self):
         a, b = img_pair(15, 16, 16)
         d = Tensor(np.full(1, 0.7))
-        cfg = MsSsimConfig(weights=(1.0,))
-        rep = grad_check(lambda t: total_loss(t, b, d, ms_ssim_cfg=cfg)[0],
+        rep = grad_check(lambda t: total_loss(t, b, d, levels=1)[0],
                          a, tol=1e-3)
         assert rep.passed, rep.max_rel_err

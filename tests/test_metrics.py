@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dwgan import tensor
-from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, MsSsimConfig, fit_levels,
+from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, fit_levels,
                            gaussian_window, gray_stats, ms_ssim,
                            ms_ssim_tensor, psnr, ssim, ssim_and_ms_ssim,
                            ssim_components)
@@ -47,11 +47,6 @@ class TestPsnr:
     def test_uniform_difference(self):
         a = np.full((3, 8, 8), 0.5)
         assert abs(psnr(a, a + 0.1) - 20.0) < 1e-9
-
-    def test_255_scale(self):
-        a = np.full((3, 8, 8), 100.0)
-        val = psnr(a, a + 1.0, dynamic_range=255.0)
-        assert abs(val - 20 * np.log10(255)) < 1e-9
 
     def test_symmetry(self):
         a, b = rand_img((3, 8, 8), 1), rand_img((3, 8, 8), 2)
@@ -105,8 +100,7 @@ class TestMsSsim:
     def test_single_level_unit_weight_is_ssim(self):
         a = rand_img((1, 1, 16, 16), 11)
         b = rand_img((1, 1, 16, 16), 12)
-        cfg = MsSsimConfig(weights=(1.0,))
-        assert ms_ssim(a, b, cfg) == pytest.approx(ssim(a, b)[0], abs=1e-12)
+        assert ms_ssim(a, b, 1) == pytest.approx(ssim(a, b)[0], abs=1e-12)
 
     def test_noise_monotonicity(self):
         x = rand_img((1, 3, 64, 64), 13, 0.2, 0.8)
@@ -124,8 +118,8 @@ class TestMsSsim:
     def test_fitted_levels_keep_the_bits(self, caplog):
         a = rand_img((2, 3, 32, 32), 16)
         b = rand_img((2, 3, 32, 32), 17)
-        fitted = fit_levels(MsSsimConfig(), 32, 32)
-        assert fitted.weights == DEFAULT_MSSSIM_WEIGHTS[:2]
+        fitted = fit_levels(32, 32)
+        assert fitted == 2
         caplog.clear()
         with caplog.at_level("WARNING"):
             assert ms_ssim(a, b, fitted) == ms_ssim(a, b)
@@ -137,6 +131,22 @@ class TestMsSsim:
         with pytest.raises(ShapeError):
             ms_ssim(x, x)
 
+    def test_fit_levels_counts_the_pyramid(self, caplog):
+        # 176 = 11 * 2^4 supports all five levels and warns about nothing
+        with caplog.at_level("WARNING"):
+            assert [fit_levels(s, 176) for s in (11, 22, 44, 88, 176)] \
+                == [1, 2, 3, 4, 5]
+            assert fit_levels(1000, 1000) == 5
+        assert len(caplog.records) == 4
+
+    @pytest.mark.parametrize("levels", [0, 6])
+    def test_level_count_out_of_range(self, levels):
+        x = rand_img((1, 1, 176, 176))
+        with pytest.raises(ValueError, match="levels"):
+            ms_ssim(x, x, levels)
+
+    # ``weights`` are those the levels apply before renormalizing: a
+    # prefix of the defaults, or one level, whose weight becomes 1
     @pytest.mark.parametrize("shape, weights", [
         ((1, 3, 64, 64), DEFAULT_MSSSIM_WEIGHTS[:3]),
         ((1, 3, 176, 176), DEFAULT_MSSSIM_WEIGHTS),
@@ -144,11 +154,11 @@ class TestMsSsim:
         ((1, 3, 16, 16), (0.3,)),
     ])
     def test_shared_level0_keeps_the_bits(self, shape, weights):
-        cfg = MsSsimConfig(weights=weights)
+        levels = len(weights)
         a = rand_img(shape, 18)
         b = np.clip(a + rand_img(shape, 19, -0.3, 0.3), 0, 1)
-        assert ssim_and_ms_ssim(a, b, cfg) == (ssim(a, b)[0],
-                                               ms_ssim(a, b, cfg))
+        assert ssim_and_ms_ssim(a, b, levels) == (ssim(a, b)[0],
+                                                  ms_ssim(a, b, levels))
 
     def test_bounded(self):
         for seed in range(4):
@@ -157,14 +167,15 @@ class TestMsSsim:
             assert -1.0 <= ms_ssim(a, b) <= 1.0
 
 
-def ms_ssim_full(a: Tensor, b: Tensor, cfg: MsSsimConfig) -> Tensor:
-    """Reference MS-SSIM that builds every component at every level and
-    keeps them all, combining them as ms_ssim_tensor does."""
-    w = np.asarray(cfg.weights) / np.sum(cfg.weights)
+def ms_ssim_full(a: Tensor, b: Tensor, weights: tuple[float, ...]) -> Tensor:
+    """Reference MS-SSIM with the per-level ``weights`` renormalized to
+    sum 1, which builds every component at every level and keeps them all,
+    combining them as ms_ssim_tensor does."""
+    w = np.asarray(weights) / np.sum(weights)
     result = None
-    for m in range(cfg.levels):
+    for m in range(len(weights)):
         lum, cs, smap = ssim_components(a, b)
-        if m < cfg.levels - 1:
+        if m < len(weights) - 1:
             term = power(clip_min(cs, 1e-6), float(w[m]))
             a, b = avg_pool2(a), avg_pool2(b)
         elif w[m] == 1.0:
@@ -187,12 +198,13 @@ class TestWorkingSet:
         ((1, 1, 16, 16), (0.3,)),
     ])
     def test_ms_ssim_equals_full_components(self, shape, weights):
-        cfg = MsSsimConfig(weights=weights)
+        # the library takes a level count and the reference the weights
+        # those levels apply, so (0.3,) checks the one-level renormalizing
         x = rand_img(shape, 50)
         y = np.clip(x + rand_img(shape, 51, -0.3, 0.3), 0, 1)
         a, a_ref = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        got, want = ms_ssim_tensor(a, Tensor(y), cfg), ms_ssim_full(
-            a_ref, Tensor(y), cfg)
+        got, want = ms_ssim_tensor(a, Tensor(y), len(weights)), ms_ssim_full(
+            a_ref, Tensor(y), weights)
         assert got.item() == want.item()
         got.backward()
         want.backward()

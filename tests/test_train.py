@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,29 @@ def smoke_cfg(**kw):
     base = dict(crop=16, batch=2, total_steps=50, eval_every=0, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(crop=0), "crop and batch"), (dict(batch=0), "crop and batch"),
+        (dict(total_steps=-1), "total_steps"), (dict(lr0=0.0), "lr0"),
+        (dict(lr0=-1e-4), "lr0"), (dict(lr0=float("nan")), "lr0"),
+        (dict(lr0=float("inf")), "lr0"), (dict(eval_every=-1), "eval_every"),
+    ], ids=["crop", "batch", "steps", "lr_zero", "lr_negative", "lr_nan",
+            "lr_inf", "eval_every"])
+    def test_untrainable_values_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
+
+    def test_smallest_values_accepted(self):
+        cfg = TrainConfig(crop=1, batch=1, total_steps=0, eval_every=0,
+                          lr0=1e-300)
+        assert (cfg.crop, cfg.batch, cfg.total_steps) == (1, 1, 0)
+
+    def test_holdout_fraction_is_a_constant(self):
+        assert TrainConfig().holdout_fraction == 0.2
+        assert "holdout_fraction" not in [f.name for f in
+                                          fields(TrainConfig)]
 
 
 class TestSchedule:
@@ -146,8 +170,16 @@ class TestAdam:
 class TestTrainGan:
     def test_empty_dataset_rejected(self):
         gen = Generator(small_model_cfg(), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="held out"):
             train_gan(gen, None, [], smoke_cfg(weights=NO_ADV))
+
+    def test_one_pair_rejected(self, tmp_path):
+        # the one pair would be both trained on and held out
+        gen = Generator(small_model_cfg(), seed=0)
+        with pytest.raises(ValueError, match="held out"):
+            train_gan(gen, None, small_dataset(1), smoke_cfg(weights=NO_ADV),
+                      out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_adv_requires_discriminator(self):
         gen = Generator(small_model_cfg(), seed=0)
