@@ -21,7 +21,7 @@ import numpy as np
 from . import datatool, hazesim
 from .metrics import fit_levels, psnr, ssim_and_ms_ssim
 from .model import Discriminator, Generator, ModelConfig, load_generator
-from .tensor import ShapeError, Tensor, load_tensor, no_grad, save_tensor
+from .tensor import ShapeError, Tensor, load_tensor, save_tensor
 from .train import TrainConfig, ablation_run, train_gan
 from .wavelet import Subbands, dwt2, idwt2
 
@@ -220,49 +220,17 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     mcfg, tcfg = _build_configs(args)
-    rows = ablation_run(tcfg, mcfg, n_pairs=args.n_pairs)
-    out_rows = []
-    for r in rows:
-        out_rows.append({
-            "config": r.label,
-            "psnr": f"{r.psnr:.2f}", "ssim": f"{r.ssim:.4f}",
-            "ref_psnr": f"{r.ref_psnr:.2f}", "ref_ssim": f"{r.ref_ssim:.4f}",
-            "reference_reproduced": "no",
-        })
-    _write_csv(args.out, ["config", "psnr", "ssim", "ref_psnr", "ref_ssim",
-                          "reference_reproduced"], out_rows)
+    rows = [{"config": r.label,
+             "psnr": f"{r.psnr:.2f}", "ssim": f"{r.ssim:.4f}",
+             "ref_psnr": f"{r.ref_psnr:.2f}", "ref_ssim": f"{r.ref_ssim:.4f}",
+             "reference_reproduced": "no"}
+            for r in ablation_run(tcfg, mcfg, n_pairs=args.n_pairs)]
+    # the header is the rows' keys (there are always seven rows)
+    _write_csv(args.out, list(rows[0]), rows)
     return 0
 
 
 # -- dehaze -------------------------------------------------------------------
-
-def _padding(gen: Generator, img: np.ndarray) -> tuple[int, int]:
-    """The rows and columns that pad a (3, H, W) image at the bottom and
-    right to multiples of ``gen.size_multiple`` m. They are made by one
-    reflection, so a side needs at least m/2 + 1 px (9 px by default); a
-    shorter side is a ValueError."""
-    m = gen.size_multiple
-    _, h, w = img.shape
-    ph, pw = -h % m, -w % m
-    if ph >= h or pw >= w:
-        raise ValueError(f"{h}x{w} image too small: dehaze pads each side "
-                         f"to a multiple of {m} by reflection, which needs "
-                         f"at least {m // 2 + 1} px")
-    return ph, pw
-
-
-def _dehaze(gen: Generator, img: np.ndarray) -> np.ndarray:
-    """``gen`` on a (3, H, W) image of any size: reflect-padded by
-    ``_padding``, run whole (not in tiles: channel attention's global mean
-    would tell tiles apart), and cropped back. An image whose sides are
-    multiples already is not padded."""
-    _, h, w = img.shape
-    ph, pw = _padding(gen, img)
-    if ph or pw:
-        img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="reflect")
-    with no_grad():
-        return gen(Tensor(img[None])).data[0, :, :h, :w]
-
 
 def cmd_dehaze(args) -> int:
     gen, _ = load_generator(args.checkpoint)
@@ -277,11 +245,11 @@ def cmd_dehaze(args) -> int:
     tgts = [datatool.read_image(path) for path in targets]
     rows, ms_levels = [], {}
     for img in images:
-        _padding(gen, img)
+        gen.padding(*img.shape[1:])
     for img, tgt in zip(images, tgts):
         _fitted(img, tgt, ms_levels)
     for i, path in enumerate(args.images):
-        dehazed = _dehaze(gen, images[i])
+        dehazed = gen.dehaze(images[i])
         datatool.write_image(out / Path(path).name, dehazed)
         if tgts:
             rows.append(_metrics_row(Path(path).name, dehazed, tgts[i],

@@ -7,12 +7,13 @@ differentiable through the tensor engine; the adversarial term averages
 patch probabilities to one probability per sample before the log, and
 probabilities are clamped at 1e-8 to keep the logs finite. The perceptual
 term reads the three stages of one frozen ``ToyEncoder``, 16, 32 and 64
-channels wide (``ENCODER``).
+channels wide (``encoder()``), drawn on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -21,8 +22,13 @@ from .metrics import ms_ssim_tensor
 from .tensor import ShapeError, Tensor, clip_min, log, reshape, spatial_mean
 
 PROB_EPS = 1e-8
-# the perceptual distance's feature extractor, drawn once at import
-ENCODER = ToyEncoder((16, 32, 64))
+
+
+@cache
+def encoder() -> ToyEncoder:
+    """The perceptual distance's feature extractor, drawn on first use, so
+    that a command which computes no loss draws no weights."""
+    return ToyEncoder((16, 32, 64))
 
 
 @dataclass
@@ -55,12 +61,12 @@ def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def perceptual(pred: Tensor, target: Tensor) -> Tensor:
-    """Sum over every stage of ``ENCODER`` of the per-element mean
+    """Sum over every stage of ``encoder()`` of the per-element mean
     squared feature distance (equivalently 1/(C_j H_j W_j) *
     ||phi_j(target) - phi_j(pred)||^2 averaged over the batch). Gradient
     flows to pred only."""
-    feats_pred = ENCODER.stages(pred)
-    feats_tgt = ENCODER.stages(target.detach())
+    feats_pred = encoder().stages(pred)
+    feats_tgt = encoder().stages(target.detach())
     total: Tensor | None = None
     for fp, ft in zip(feats_pred, feats_tgt):
         diff = fp - ft.detach()

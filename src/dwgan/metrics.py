@@ -251,7 +251,7 @@ def psnr(a, b) -> float:
     mse = float(np.mean((ad - bd) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))
+    return min(PSNR_CAP_DB, float(10.0 * np.log10(1.0 / mse)))
 
 
 def gray_stats(images) -> tuple[float, float]:

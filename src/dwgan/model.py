@@ -26,8 +26,8 @@ import numpy as np
 
 from .encoders import ToyEncoder, _kaiming, _unset
 from .tensor import (Channels, ShapeError, Tensor, conv2d, leaky_relu,
-                     pixel_shuffle, relu, save_tensor, sigmoid, spatial_mean,
-                     load_tensor)
+                     no_grad, pixel_shuffle, relu, save_tensor, sigmoid,
+                     spatial_mean, load_tensor)
 from .wavelet import Subbands, dwt2, idwt2
 
 
@@ -315,6 +315,30 @@ class Generator(Module):
             feats.append(self.ka_branch(x))
         return sigmoid(self.fusion(*feats))
 
+    def padding(self, h: int, w: int) -> tuple[int, int]:
+        """The rows and columns that pad an h x w image at the bottom and
+        right to multiples of ``size_multiple`` m. They are made by one
+        reflection, so a side needs at least m/2 + 1 px (9 px by default); a
+        shorter side is a ValueError."""
+        m = self.size_multiple
+        ph, pw = -h % m, -w % m
+        if ph >= h or pw >= w:
+            raise ValueError(f"{h}x{w} image too small: dehaze pads each side "
+                             f"to a multiple of {m} by reflection, which needs "
+                             f"at least {m // 2 + 1} px")
+        return ph, pw
+
+    def dehaze(self, img: np.ndarray) -> np.ndarray:
+        """The output for one (3, H, W) image of a size ``padding`` takes:
+        reflect-padded only when needed, run whole under ``no_grad`` (tiles
+        would differ in channel attention's global mean), cropped back."""
+        _, h, w = img.shape
+        ph, pw = self.padding(h, w)
+        if ph or pw:
+            img = np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="reflect")
+        with no_grad():
+            return self(Tensor(img[None])).data[0, :, :h, :w]
+
 
 class Discriminator(Module):
     """Patch discriminator: four stride-2 conv stages (leaky ReLU 0.2)
@@ -344,7 +368,7 @@ class Discriminator(Module):
 
 def save_checkpoint(directory, generator: Generator,
                     discriminator: Discriminator | None = None,
-                    step: int = 0, extra: dict | None = None) -> None:
+                    step: int = 0) -> None:
     """Checkpoint layout: manifest.json plus one binary tensor per
     parameter under params/ (and disc_params/ for the discriminator)."""
     directory = Path(directory)
@@ -354,8 +378,6 @@ def save_checkpoint(directory, generator: Generator,
         "seed": generator.seed,
         "step": step,
     }
-    if extra:
-        manifest.update(extra)
     for name, p in generator.named_parameters():
         save_tensor(directory / "params" / f"{name}.bin", p)
     if discriminator is not None:

@@ -8,8 +8,8 @@ toy runs inherit it). Both networks use Adam with its default betas
 (0.9, 0.999) and eps 1e-8. Alternation is one discriminator update then
 one generator update per batch. The held-out split is the last 20% of the
 generated pairs (at least one pair, so a run needs two), never augmented,
-evaluated at full size. Given an output directory, the run writes one
-checkpoint, after its last step.
+scored whole by ``Generator.dehaze``. Sizes are checked before an output
+directory is made; given one, the run writes one checkpoint, at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .hazesim import HazePair, make_base_images, make_dataset
 from .losses import LossWeights, discriminator_loss, total_loss
 from .metrics import fit_levels, psnr, ssim
 from .model import Discriminator, Generator, ModelConfig, save_checkpoint
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 
 @dataclass
@@ -162,16 +162,11 @@ class TrainResult:
     checkpoint_dir: Path | None
 
 
-def _batch_tensor(images: list[np.ndarray]) -> Tensor:
-    return Tensor(np.stack(images))
-
-
 def evaluate(gen: Generator, pairs: list[HazePair]) -> tuple[float, float]:
-    """Mean PSNR/SSIM of the generator output against clear, full size."""
+    """Mean PSNR/SSIM of ``gen.dehaze`` of each hazy image against clear."""
     ps, ss = [], []
     for pair in pairs:
-        with no_grad():
-            out = gen(_batch_tensor([pair.hazy])).data[0]
+        out = gen.dehaze(pair.hazy)
         ps.append(psnr(out, pair.clear))
         ss.append(ssim(out[None], pair.clear[None])[0])
     return float(np.mean(ps)), float(np.mean(ss))
@@ -210,25 +205,32 @@ def train_gan(gen: Generator, disc: Discriminator | None,
             raise ValueError("adversarial term enabled but no discriminator")
         disc_opt = Adam(disc.parameters())
 
+    # every crop has the same size, so fit the MS-SSIM pyramid (and warn
+    # about a reduction) once rather than on every step
+    levels = fit_levels(cfg.crop, cfg.crop) if weights.alpha > 0 else None
+    for pair in train_pairs:
+        _, h, w = pair.clear.shape
+        if h < cfg.crop or w < cfg.crop:
+            raise ValueError(f"image {h}x{w} smaller than crop {cfg.crop}")
+    pad, _ = gen.padding(cfg.crop, cfg.crop)  # crops are not padded
+    if pad:
+        raise ValueError(f"crop {cfg.crop} is not a size the generator "
+                         f"takes unpadded; the next one is {cfg.crop + pad}")
+    for pair in hold_pairs:
+        gen.padding(*pair.hazy.shape[1:])
+
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
     log_rows: list[dict] = []
     evals: list[EvalResult] = []
-    # every crop has the same size, so fit the MS-SSIM pyramid (and warn
-    # about a reduction) once rather than on every step
-    levels = fit_levels(cfg.crop, cfg.crop) if weights.alpha > 0 else None
     for step in range(cfg.total_steps):
         lr = lr_at(step, cfg)
         idx = rng.integers(0, len(train_pairs), size=cfg.batch)
-        hazy_list, clear_list = [], []
-        for i in idx:
-            hz, cl = augment(train_pairs[int(i)], rng, cfg.crop)
-            hazy_list.append(hz)
-            clear_list.append(cl)
-        hazy = _batch_tensor(hazy_list)
-        clear = _batch_tensor(clear_list)
+        crops = [augment(train_pairs[int(i)], rng, cfg.crop) for i in idx]
+        hazy = Tensor(np.stack([hz for hz, _ in crops]))
+        clear = Tensor(np.stack([cl for _, cl in crops]))
 
         pred = gen(hazy)
 

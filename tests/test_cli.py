@@ -183,6 +183,17 @@ class TestTrainDehaze:
         assert (out / "hazy.ppm").exists()
         assert (out / "metrics.csv").exists()
 
+    def test_train_scores_a_holdout_it_must_pad(self, tmp_path):
+        # 40 px pairs are not a multiple of 16: training takes 32 px crops,
+        # and the held-out evaluation pads the whole pair as dehaze does
+        run = tmp_path / "run"
+        assert main(["train", "--steps", "2", "--image-size", "40",
+                     "--crop", "32", "--base-channels", "4", "--depth", "2",
+                     "--batch", "1", "--n-pairs", "4", "--no-adv",
+                     "--out", str(run)]) == 0
+        assert (run / "final" / "manifest.json").exists()
+        assert (run / "log.csv").exists()
+
     def test_config_file_overrides(self, tmp_path, capsys):
         def train(cfg_text, *flags):
             cfg = tmp_path / "toy.cfg"
@@ -215,7 +226,14 @@ class TestTrainDehaze:
         (["--steps", "-3"], "total_steps and eval_every must be >= 0"),
         (["--batch", "0"], "crop and batch must be >= 1"),
         (["--n-pairs", "1"], "one pair must be held out"),
-    ], ids=["lr", "steps", "batch", "one_pair"])
+        (["--crop", "8"], "image 8x8 smaller than window 11"),
+        (["--crop", "100", "--image-size", "64"],
+         "image 64x64 smaller than crop 100"),
+        (["--crop", "40", "--image-size", "64"],
+         "crop 40 is not a size the generator takes unpadded; the next one "
+         "is 48"),
+    ], ids=["lr", "steps", "batch", "one_pair", "crop_below_window",
+            "crop_above_image", "crop_not_a_multiple"])
     def test_untrainable_setting_fails_cleanly(self, tmp_path, capsys, flags,
                                                message):
         run = tmp_path / "run"

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dwgan.losses import (ENCODER, PROB_EPS, LossWeights, adversarial_gen,
-                          discriminator_loss, ms_ssim_loss, perceptual,
-                          smooth_l1, total_loss)
+import dwgan
+from dwgan.encoders import ToyEncoder
+from dwgan.losses import (PROB_EPS, LossWeights, adversarial_gen,
+                          discriminator_loss, encoder, ms_ssim_loss,
+                          perceptual, smooth_l1, total_loss)
 from dwgan.tensor import ShapeError, Tensor, grad_check, sigmoid
 
 
@@ -78,11 +85,29 @@ class TestPerceptual:
         # the per-stage mean squared feature distances of the frozen
         # 16/32/64-channel encoder, summed by hand
         a, b = img_pair(6)
-        assert ENCODER.channels == (16, 32, 64)
+        assert encoder().channels == (16, 32, 64)
         want = sum(float(((fa.data - fb.data) ** 2).mean())
-                   for fa, fb in zip(ENCODER.stages(a), ENCODER.stages(b)))
+                   for fa, fb in zip(encoder().stages(a), encoder().stages(b)))
         assert want > 0
         assert perceptual(a, b).item() == pytest.approx(want, rel=1e-14)
+
+    def test_encoder_is_drawn_once_from_seed_0(self):
+        assert encoder() is encoder()
+        fresh = ToyEncoder((16, 32, 64))
+        assert len(encoder().weights) == 3
+        for w, want in zip(encoder().weights, fresh.weights):
+            np.testing.assert_array_equal(w.data, want.data)
+
+    def test_importing_the_cli_draws_no_encoder(self):
+        # a fresh interpreter, since this one has drawn it already
+        code = ("import dwgan.cli, dwgan.losses; "
+                "print(dwgan.losses.encoder.cache_info().currsize)")
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, timeout=120,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(dwgan.__file__).parents[1])})
+        assert run.stdout.strip() == "0"
 
     def test_gradient(self):
         a, b = img_pair(7, h=8, w=8)

@@ -56,6 +56,13 @@ class TestPsnr:
         with pytest.raises(ShapeError):
             psnr(rand_img((3, 8, 8)), rand_img((3, 8, 9)))
 
+    def test_returns_float_in_both_branches(self):
+        a, b = rand_img((3, 8, 8), 1), rand_img((3, 8, 8), 2)
+        assert type(psnr(a, a)) is float
+        got = psnr(a, b)
+        assert type(got) is float
+        assert got == 10.0 * np.log10(1.0 / float(np.mean((a - b) ** 2)))
+
 
 class TestSsim:
     def test_self_is_one(self):

@@ -122,6 +122,42 @@ class TestGenerator:
         assert with_dwt != without
 
 
+class TestDehaze:
+    # the default encoder's 4 stages make the size multiple 16
+    @pytest.mark.parametrize("h, w, pad", [
+        (32, 48, (0, 0)), (40, 40, (8, 8)), (9, 25, (7, 7)), (100, 16, (12, 0)),
+    ])
+    def test_padding(self, h, w, pad):
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        assert gen.padding(h, w) == pad
+
+    @pytest.mark.parametrize("h, w", [(8, 40), (40, 8), (1, 1)])
+    def test_padding_needs_one_reflection(self, h, w):
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        with pytest.raises(ValueError, match="at least 9 px"):
+            gen.padding(h, w)
+        with pytest.raises(ValueError, match="at least 9 px"):
+            gen.dehaze(np.zeros((3, h, w)))
+
+    def test_unpadded_is_the_forward(self):
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        img = np.random.default_rng(6).uniform(0, 1, (3, 32, 48))
+        kept = img.copy()
+        out = gen.dehaze(img)
+        # the forward reads the caller's array in place and writes nothing
+        np.testing.assert_array_equal(img, kept)
+        assert out.shape == (3, 32, 48)
+        np.testing.assert_array_equal(out, gen(Tensor(img[None])).data[0])
+
+    def test_padded_by_reflection_and_cropped(self):
+        gen = Generator(small_cfg(), seed=0)
+        img = np.random.default_rng(7).uniform(0, 1, (3, 20, 28))
+        out = gen.dehaze(img)
+        padded = np.pad(img, ((0, 0), (0, 4), (0, 4)), mode="reflect")
+        np.testing.assert_array_equal(
+            out, gen(Tensor(padded[None])).data[0, :, :20, :28])
+
+
 class TestAttention:
     def test_channel_gate_shrinks_magnitude(self):
         rng = np.random.default_rng(6)
@@ -216,9 +252,9 @@ def assert_round_trip(tmp_path, cfg):
     for _, p in gen.named_parameters():
         p.data = p.data + 0.01
     disc = Discriminator(cfg, seed=6)
-    save_checkpoint(tmp_path, gen, disc, step=42, extra={"note": "x"})
+    save_checkpoint(tmp_path, gen, disc, step=42)
     gen2, disc2, manifest = load_checkpoint(tmp_path)
-    assert manifest["step"] == 42 and manifest["note"] == "x"
+    assert manifest["step"] == 42
     assert gen2.cfg == cfg
     # the loader allocates the weights undrawn: each must come from its file
     for module, sub in ((gen2, "params"), (disc2, "disc_params")):

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,8 +7,9 @@ import pytest
 from dwgan.hazesim import HOMOGENEOUS, HazePair, make_base_images, make_dataset
 from dwgan.losses import LossWeights
 from dwgan.model import Discriminator, Generator, ModelConfig
+from dwgan.metrics import psnr, ssim
 from dwgan.train import (ABLATION_CONFIGS, Adam, TrainConfig, ablation_run,
-                         augment, checkpoint_hash, lr_at, train_gan)
+                         augment, checkpoint_hash, evaluate, lr_at, train_gan)
 from dwgan.tensor import Tensor
 
 
@@ -180,6 +181,29 @@ class TestTrainGan:
             train_gan(gen, None, small_dataset(1), smoke_cfg(weights=NO_ADV),
                       out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    def test_unpaddable_holdout_checked_before_the_directory(self, tmp_path):
+        # small_model_cfg's size multiple is 8, so a 4 px side cannot be
+        # padded by one reflection; the last pair is held out. (The crop
+        # checks are run through the CLI in test_cli.py.)
+        data = small_dataset(4)
+        data[-1] = replace(data[-1], hazy=data[-1].hazy[:, :4, :4])
+        gen = Generator(small_model_cfg(), seed=0)
+        with pytest.raises(ValueError, match="4x4 image too small"):
+            train_gan(gen, None, data, smoke_cfg(weights=NO_ADV),
+                      out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_evaluate_scores_dehaze_of_whole_pairs(self):
+        # 40 px is not a multiple of the default encoder's 16, so each
+        # held-out pair is padded and cropped back by Generator.dehaze
+        gen = Generator(ModelConfig(base_channels=4, depth=2), seed=0)
+        pairs = small_dataset(3, size=40)
+        outs = [gen.dehaze(p.hazy) for p in pairs]
+        want_psnr = np.mean([psnr(o, p.clear) for o, p in zip(outs, pairs)])
+        want_ssim = np.mean([ssim(o[None], p.clear[None])[0]
+                             for o, p in zip(outs, pairs)])
+        assert evaluate(gen, pairs) == (want_psnr, want_ssim)
 
     def test_adv_requires_discriminator(self):
         gen = Generator(small_model_cfg(), seed=0)
