@@ -234,13 +234,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_dehaze(args) -> int:
     gen, _ = load_generator(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     targets = args.target or []
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
     # every input and pair is read and checked before any image is
-    # dehazed, so one that cannot be dehazed or scored writes nothing
+    # dehazed, so one that cannot be dehazed or scored writes nothing,
+    # not even the output directory
     images = [datatool.read_image(path) for path in args.images]
     tgts = [datatool.read_image(path) for path in targets]
     rows, ms_levels = [], {}
@@ -248,6 +247,8 @@ def cmd_dehaze(args) -> int:
         gen.padding(*img.shape[1:])
     for img, tgt in zip(images, tgts):
         _fitted(img, tgt, ms_levels)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i, path in enumerate(args.images):
         dehazed = gen.dehaze(images[i])
         datatool.write_image(out / Path(path).name, dehazed)

@@ -1,10 +1,11 @@
 """Synthetic hazy-image generation from the atmospheric scattering model.
 
-A hazy observation is I = J*t + A*(1 - t) with transmission
-t = exp(-beta * d) for a relative depth field d, atmospheric light A and
-scattering coefficient beta. Homogeneous haze samples beta ~ U[0.6, 1.8]
-and A ~ U[0.7, 1.0]; non-homogeneous haze is modeled directly as a
-(1 - t) density field built from random anisotropic Gaussian blobs.
+A hazy observation is I = J*t + A*(1 - t) with a transmission map t in
+[0, 1] and atmospheric light A. Homogeneous haze derives t = exp(-beta * d)
+from a relative depth field d in [0, 1], with scattering coefficient
+beta ~ U[0.6, 1.8] and A ~ U[0.7, 1.0]; non-homogeneous haze sets the
+density (1 - t) directly, from random anisotropic Gaussian blobs, and
+records beta as 0. ``HazeParams`` holds t either way.
 
 Images are float64 arrays of shape (3, H, W) in [0, 1]. No external data
 is needed: procedural clear images (checkerboards, gradients, smooth
@@ -13,7 +14,7 @@ noise, stripes) are bundled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,34 +27,23 @@ A_RANGE = (0.7, 1.0)
 
 @dataclass
 class HazeParams:
-    """Scattering parameters for one image.
-
-    ``depth`` holds the relative depth field d(x) for homogeneous haze.
-    For non-homogeneous haze ``direct_density=True`` and ``depth`` holds
-    the (1 - t) density field itself; ``beta`` is then unused.
-    """
+    """Scattering parameters for one image: the atmospheric light, the
+    scattering coefficient (0 for non-homogeneous haze, whose density is
+    drawn directly) and the transmission map t the haze was made with."""
 
     a: np.ndarray          # per-channel atmospheric light, shape (3,)
     beta: float
-    depth: np.ndarray      # (H, W), >= 0
-    direct_density: bool = False
+    t: np.ndarray          # (H, W), in [0, 1]
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=np.float64).reshape(3)
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        self.t = np.asarray(self.t, dtype=np.float64)
         if np.any(self.a < 0) or np.any(self.a > 1):
             raise ValueError("atmospheric light must lie in [0, 1]")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
-        if np.any(self.depth < 0):
-            raise ValueError("depth/density must be non-negative")
-        if self.direct_density and np.any(self.depth > 1):
-            raise ValueError("density field must lie in [0, 1]")
-
-    def transmission_map(self) -> np.ndarray:
-        if self.direct_density:
-            return 1.0 - self.depth
-        return transmission(self.depth, self.beta)
+        if np.any(self.t < 0) or np.any(self.t > 1):
+            raise ValueError("transmission must lie in [0, 1]")
 
 
 @dataclass
@@ -155,11 +145,11 @@ def sample_depth(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
 def sample_homogeneous(rng: np.random.Generator, h: int = 64,
                        w: int = 64) -> HazeParams:
     """beta ~ U[0.6, 1.8], scalar A ~ U[0.7, 1.0] replicated across
-    channels, synthetic depth in [0, 1]."""
+    channels, and t = exp(-beta * d) of a synthetic depth d in [0, 1]."""
     beta = rng.uniform(*BETA_RANGE)
     a = rng.uniform(*A_RANGE)
-    depth = sample_depth(rng, h, w)
-    return HazeParams(a=np.full(3, a), beta=beta, depth=depth)
+    t = transmission(sample_depth(rng, h, w), beta)
+    return HazeParams(a=np.full(3, a), beta=beta, t=t)
 
 
 def nonhomogeneous_field(rng: np.random.Generator, h: int, w: int,
@@ -221,14 +211,8 @@ def make_base_images(rng: np.random.Generator, n: int, h: int = 64,
     return [_GENERATORS[i % len(_GENERATORS)](rng, h, w) for i in range(n)]
 
 
-def make_pair(clear: np.ndarray, params: HazeParams) -> HazePair:
-    t = params.transmission_map()
-    return HazePair(clear=clear, hazy=apply_haze(clear, t, params.a),
-                    params=params)
-
-
 def make_dataset(n: int, mode: str, base_images: list[np.ndarray],
-                 rng: np.random.Generator, blobs: int = 6) -> list[HazePair]:
+                 rng: np.random.Generator) -> list[HazePair]:
     """n hazy/clear pairs with recorded parameters; deterministic under seed."""
     if n > 0 and not base_images:
         raise ValueError("no base images supplied")
@@ -241,9 +225,9 @@ def make_dataset(n: int, mode: str, base_images: list[np.ndarray],
         if mode == HOMOGENEOUS:
             params = sample_homogeneous(rng, h, w)
         else:
-            density = nonhomogeneous_field(rng, h, w, blobs=blobs)
+            density = nonhomogeneous_field(rng, h, w)
             a = rng.uniform(*A_RANGE)
-            params = HazeParams(a=np.full(3, a), beta=0.0, depth=density,
-                                direct_density=True)
-        pairs.append(make_pair(clear, params))
+            params = HazeParams(a=np.full(3, a), beta=0.0, t=1.0 - density)
+        pairs.append(HazePair(clear, apply_haze(clear, params.t, params.a),
+                              params))
     return pairs

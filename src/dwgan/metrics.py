@@ -128,21 +128,11 @@ def _ssim_maps(a: Tensor, b: Tensor,
     return lum, (cov * 2.0 + C2) / den
 
 
-def ssim_components(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean luminance term, mean contrast/structure term, and the SSIM map.
-
-    All three are differentiable tensors; the map has the valid-region
-    spatial extent.
-    """
-    a, b = _as_pair(a, b)
-    lum, cs = _ssim_maps(a, b, luminance=True)
-    return lum.mean(), cs.mean(), lum * cs
-
-
 def ssim(a, b) -> tuple[float, np.ndarray]:
     """Mean SSIM over the valid region plus the per-pixel SSIM map."""
-    _, _, smap = ssim_components(a, b)
-    return float(smap.data.mean()), smap.data
+    lum, cs = _ssim_maps(*_as_pair(a, b), luminance=True)
+    smap = (lum * cs).data
+    return float(smap.mean()), smap
 
 
 def fit_levels(h: int, w: int) -> int:

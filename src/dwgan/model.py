@@ -148,9 +148,10 @@ class PlainDown(Module):
 class DwtUp(Module):
     """Double-resolution block: inverse transform over (projected input as
     LL, skip-fed high-frequency bands) alongside a learned pixel-shuffle
-    path, then a mixing conv. ``split`` gives the mixing conv's two inputs
-    and ``merge`` runs it, so that a caller can drop the block's input
-    before the full-resolution conv runs."""
+    path, then a mixing conv. A block runs as ``merge(*split(x, hf))``:
+    ``split`` gives the mixing conv's two inputs and ``merge`` runs it, so
+    that a caller can drop the block's input before the full-resolution
+    conv runs."""
 
     def __init__(self, rng, cin: int, cout: int, c_hf: int):
         self.proj = Conv(rng, cin, c_hf, k=1)
@@ -167,10 +168,6 @@ class DwtUp(Module):
     def merge(self, freq: Tensor, learned: Tensor) -> Tensor:
         return relu(self.mix(freq, learned))
 
-    def __call__(self, x: Tensor,
-                 hf: tuple[Tensor, Tensor, Tensor]) -> Tensor:
-        return self.merge(*self.split(x, hf))
-
 
 class PlainUp(Module):
     def __init__(self, rng, cin: int, cout: int):
@@ -182,9 +179,6 @@ class PlainUp(Module):
 
     def merge(self, learned: Tensor) -> Tensor:
         return relu(self.mix(learned))
-
-    def __call__(self, x: Tensor, hf=None) -> Tensor:
-        return self.merge(*self.split(x, hf))
 
 
 class DwtBranch(Module):

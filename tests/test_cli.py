@@ -311,10 +311,12 @@ class TestTrainDehaze:
                                         seed=0))
         hazy = tmp_path / "hazy.ppm"
         write_image(hazy, np.zeros((3, h, w)) + 0.5)
+        out = tmp_path / "o"
         assert main(["dehaze", str(hazy), "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "at least 9 px" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("size, target_size, message", [
         ((9, 25), (9, 25), "smaller than window 11"),
@@ -324,7 +326,7 @@ class TestTrainDehaze:
                                                      size, target_size,
                                                      message):
         # the pair is checked before the input is dehazed, so neither the
-        # dehazed image nor metrics.csv is written
+        # dehazed image, nor metrics.csv, nor the --out directory is made
         ckpt = tmp_path / "ckpt"
         save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=2),
                                         seed=0))
@@ -336,7 +338,7 @@ class TestTrainDehaze:
                      "--target", str(tgt), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes, message", [
         ([(32, 32), (32, 32), (32, 32), (32, 48)],
@@ -358,7 +360,7 @@ class TestTrainDehaze:
         assert main(["dehaze", *paths[:2], "--checkpoint", str(ckpt),
                      *targets, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_dehaze_target_count_mismatch(self, tmp_path):
         run = tmp_path / "run"
@@ -367,9 +369,11 @@ class TestTrainDehaze:
               "--no-adv", "--out", str(run)])
         img = tmp_path / "a.ppm"
         write_image(img, np.zeros((3, 32, 32)) + 0.5)
+        out = tmp_path / "o"
         assert main(["dehaze", str(img), "--checkpoint", str(run / "final"),
                      "--target", str(img), str(img),
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_dehaze_unknown_manifest_key_fails_cleanly(self, tmp_path, capsys):
         # an unknown key, then values of the wrong type for known keys

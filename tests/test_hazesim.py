@@ -66,13 +66,14 @@ class TestSampling:
             p = hazesim.sample_homogeneous(rng, 16, 16)
             assert 0.6 <= p.beta <= 1.8
             assert np.all(0.7 <= p.a) and np.all(p.a <= 1.0)
-            assert p.depth.min() >= 0 and p.depth.max() <= 1
+            # t = exp(-beta * d) of a depth d in [0, 1]
+            assert p.t.min() >= np.exp(-p.beta) and p.t.max() <= 1
 
     def test_seed_determinism(self):
         p1 = hazesim.sample_homogeneous(np.random.default_rng(7), 8, 8)
         p2 = hazesim.sample_homogeneous(np.random.default_rng(7), 8, 8)
         assert p1.beta == p2.beta
-        np.testing.assert_array_equal(p1.depth, p2.depth)
+        np.testing.assert_array_equal(p1.t, p2.t)
 
     def test_beta_mean(self):
         rng = np.random.default_rng(5)
@@ -191,7 +192,7 @@ class TestMakeDataset:
                                       hazesim.NONHOMOGENEOUS])
     def test_identity_from_stored_params(self, mode):
         for pair in self.make(8, mode, seed=1):
-            t = pair.params.transmission_map()
+            t = pair.params.t
             recon = hazesim.apply_haze(pair.clear, t, pair.params.a)
             assert np.max(np.abs(recon - pair.hazy)) < 1e-12
 
@@ -202,7 +203,7 @@ class TestMakeDataset:
 
     def test_inversion_recovers_clear(self):
         for pair in self.make(6, hazesim.HOMOGENEOUS, seed=3):
-            t = pair.params.transmission_map()
+            t = pair.params.t
             j = hazesim.invert_haze(pair.hazy, t, pair.params.a)
             mask = t >= 0.05
             assert np.max(np.abs((j - pair.clear)[:, mask])) < 1e-10

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from dwgan import tensor
-from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, fit_levels,
+from dwgan.metrics import (DEFAULT_MSSSIM_WEIGHTS, _ssim_maps, fit_levels,
                            gaussian_window, gray_stats, ms_ssim,
-                           ms_ssim_tensor, psnr, ssim, ssim_and_ms_ssim,
-                           ssim_components)
+                           ms_ssim_tensor, psnr, ssim, ssim_and_ms_ssim)
 from dwgan.tensor import ShapeError, Tensor, avg_pool2, clip_min, power
 
 
@@ -74,8 +73,8 @@ class TestSsim:
     def test_inverted_binary_negative_structure(self):
         rng = np.random.default_rng(4)
         x = (rng.uniform(0, 1, (1, 1, 16, 16)) > 0.5).astype(np.float64)
-        _, cs, _ = ssim_components(Tensor(x), Tensor(1.0 - x))
-        assert cs.item() < 0
+        _, cs = _ssim_maps(Tensor(x), Tensor(1.0 - x), luminance=False)
+        assert cs.mean().item() < 0
 
     def test_matches_direct_oracle(self):
         for seed in range(3):
@@ -94,9 +93,10 @@ class TestSsim:
 
     def test_cs_translation_invariant(self):
         a, b = rand_img((1, 1, 16, 16), 7), rand_img((1, 1, 16, 16), 8)
-        _, cs0, _ = ssim_components(Tensor(a), Tensor(b))
-        _, cs1, _ = ssim_components(Tensor(a + 0.1), Tensor(b + 0.1))
-        assert cs0.item() == pytest.approx(cs1.item(), abs=1e-12)
+        _, cs0 = _ssim_maps(Tensor(a), Tensor(b), luminance=False)
+        _, cs1 = _ssim_maps(Tensor(a + 0.1), Tensor(b + 0.1), luminance=False)
+        assert cs0.mean().item() == pytest.approx(cs1.mean().item(),
+                                                  abs=1e-12)
 
 
 class TestMsSsim:
@@ -181,9 +181,10 @@ def ms_ssim_full(a: Tensor, b: Tensor, weights: tuple[float, ...]) -> Tensor:
     w = np.asarray(weights) / np.sum(weights)
     result = None
     for m in range(len(weights)):
-        lum, cs, smap = ssim_components(a, b)
+        lum, cs = _ssim_maps(a, b, luminance=True)
+        smap = lum * cs
         if m < len(weights) - 1:
-            term = power(clip_min(cs, 1e-6), float(w[m]))
+            term = power(clip_min(cs.mean(), 1e-6), float(w[m]))
             a, b = avg_pool2(a), avg_pool2(b)
         elif w[m] == 1.0:
             term = smap.mean()

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dwgan import tensor
@@ -951,6 +951,92 @@ class TestWindow:
     def test_bad_shapes_rejected(self, shape, taps):
         with pytest.raises(ShapeError):
             window(Tensor(np.zeros(shape)), taps)
+
+
+def assert_adjoint(y, v, pairs):
+    """<y, v> = <x, g> for each (x, g) of ``pairs``, to 1e-12 of |y| |v|,
+    the Cauchy-Schwarz bound of either side. ``y`` is A x from a forward
+    and ``g`` is A^T v, the gradient of a backward seeded with ``v``."""
+    lhs = float(np.vdot(y, v))
+    scale = float(np.linalg.norm(y) * np.linalg.norm(v))
+    for x, g in pairs:
+        assert abs(lhs - float(np.vdot(x, g))) <= 1e-12 * scale
+
+
+class TestAdjoints:
+    """Dot-product tests of the linear ops' backwards: one forward gives
+    A x and one backward seeded with v gives A^T v. conv2d is linear in
+    its input and in its kernel, so one pass checks both transposes. The
+    band sizes are shrunk so that several bands run, the last one short."""
+
+    @pytest.mark.parametrize("transposed", [True, False],
+                             ids=["transposed", "im2col"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_conv2d(self, transposed, data):
+        bn = data.draw(st.integers(1, 3), label="B")
+        widths = data.draw(st.lists(st.integers(1, 4), min_size=1,
+                                    max_size=3), label="part widths")
+        cin = sum(widths)
+        kh = data.draw(st.integers(1, 4), label="kh")
+        kw = data.draw(st.integers(1, 4), label="kw")
+        # conv2d runs as a transposed conv exactly when stride is 1,
+        # Cout < Cin and the padding is below the kernel on both axes
+        if transposed:
+            assume(cin > 1)
+            stride = 1
+            padding = data.draw(st.integers(0, min(kh, kw) - 1),
+                                label="padding")
+            cout = data.draw(st.integers(1, cin - 1), label="Cout")
+        else:
+            stride = data.draw(st.sampled_from([1, 2]), label="stride")
+            padding = data.draw(st.integers(0, max(kh, kw)), label="padding")
+            lo = cin if stride == 1 and padding < min(kh, kw) else 1
+            cout = data.draw(st.integers(lo, max(lo, 6)), label="Cout")
+        # H and Ho of at least 3, so that a band of 2 to n - 1 of the n
+        # rows banded below can leave a short last band
+        h_lo = max(3, 2 * stride + kh - 2 * padding)
+        h = data.draw(st.integers(h_lo, h_lo + 6), label="H")
+        w = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="W")
+        ho = (h + 2 * padding - kh) // stride + 1
+        wo = (w + 2 * padding - kw) // stride + 1
+        # the im2col that _gather bands: the input's, over Ho rows, or in
+        # the transposed mode dx's, over H rows of Cout*kh*kw (_scatter's
+        # bands follow from the same small size)
+        n, row_bytes = ((h, cout * kh * kw * bn * w * 8) if transposed
+                        else (ho, cin * kh * kw * bn * wo * 8))
+        rows = data.draw(st.sampled_from([r for r in range(2, n) if n % r]),
+                         label="rows per band")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        xs = [Tensor(rng.normal(size=(bn, c, h, w)), requires_grad=True)
+              for c in widths]
+        k = Tensor(rng.normal(size=(cout, cin, kh, kw)), requires_grad=True)
+        with mock.patch.object(tensor, "_COL_BAND_BYTES", rows * row_bytes):
+            y = conv2d(Channels(xs), k, stride=stride, padding=padding)
+            v = rng.normal(size=y.shape)
+            (y * Tensor(v)).sum().backward()
+        x = np.concatenate([p.data for p in xs], axis=1)
+        dx = np.concatenate([p.grad for p in xs], axis=1)
+        assert_adjoint(y.data, v, [(x, dx), (k.data, k.grad)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([1, 3, 5, 11]),
+           bn=st.integers(1, 2), c=st.integers(1, 3),
+           rows=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_window(self, data, k, bn, c, rows, seed):
+        # several row blocks, the last one short; any number of columns
+        ho = data.draw(st.integers(rows + 1, 4 * rows).filter(
+            lambda n: n % rows), label="Ho")
+        wo = data.draw(st.integers(1, 4 * rows), label="Wo")
+        rng = np.random.default_rng(seed)
+        taps = rng.normal(size=k)
+        x = Tensor(rng.normal(size=(bn, c, ho + k - 1, wo + k - 1)),
+                   requires_grad=True)
+        with mock.patch.object(tensor, "_WINDOW_ROWS", rows):
+            y = window(x, taps)
+            v = rng.normal(size=y.shape)
+            (y * Tensor(v)).sum().backward()
+        assert_adjoint(y.data, v, [(x.data, x.grad)])
 
 
 def conv_layout(shape, seed):

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from dwgan import train
 from dwgan.hazesim import HOMOGENEOUS, HazePair, make_base_images, make_dataset
 from dwgan.losses import LossWeights
 from dwgan.model import Discriminator, Generator, ModelConfig
@@ -232,11 +233,18 @@ class TestTrainGan:
         assert res.log_rows == []
         assert (tmp_path / "final" / "manifest.json").exists()
 
-    def test_smoke_run_log_and_identity(self, tmp_path):
+    def test_smoke_run_log_and_identity(self, tmp_path, monkeypatch):
         cfg = small_model_cfg()
         gen = Generator(cfg, seed=0)
         disc = Discriminator(cfg, seed=1)
         tcfg = smoke_cfg(eval_every=25)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(train, "evaluate", counted)
         res = train_gan(gen, disc, small_dataset(), tcfg, out_dir=tmp_path)
         assert len(res.log_rows) == 50
         w = tcfg.weights
@@ -245,6 +253,10 @@ class TestTrainGan:
                      + w.beta * row["perceptual"] + w.gamma * row["adv"])
             assert abs(row["total"] - recon) < 1e-12
         assert [e.step for e in res.evals] == [25, 50]
+        # the last step is on the schedule, so its scores are the final ones
+        assert len(calls) == 2
+        assert (res.final_psnr, res.final_ssim) == (res.evals[-1].psnr,
+                                                    res.evals[-1].ssim)
         assert (tmp_path / "log.csv").exists()
 
     def test_discriminator_grads_not_computed_for_generator(self,

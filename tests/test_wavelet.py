@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwgan.tensor import ShapeError, Tensor, grad_check
 from dwgan.wavelet import HAAR_FILTERS, Subbands, dwt2, idwt2
@@ -135,3 +136,29 @@ class TestGradients:
             lambda t: sum((b * b).sum() for b in dwt2(t).as_tuple()),
             x, tol=1e-4)
         assert rep.passed, rep.max_rel_err
+
+
+class TestAdjoint:
+    """A dot-product test of dwt2's backward, <dwt2 x, v> = <x, dwt2^T v>
+    from one forward and one backward seeded with the bands v, and the
+    inverse as the transpose: idwt2 = dwt2^T / 4."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(bn=st.integers(1, 2), c=st.integers(1, 3), h=st.integers(1, 6),
+           w=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_dwt2_transpose_is_four_idwt2(self, bn, c, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(bn, c, 2 * h, 2 * w)), requires_grad=True)
+        bands = dwt2(x).as_tuple()
+        vs = [rng.normal(size=b.shape) for b in bands]
+        total = (bands[0] * Tensor(vs[0])).sum()
+        for b, v in zip(bands[1:], vs[1:]):
+            total = total + (b * Tensor(v)).sum()
+        total.backward()
+        # to 1e-12 of |dwt2 x| |v|, the Cauchy-Schwarz bound of either side
+        y, v = np.stack([b.data for b in bands]), np.stack(vs)
+        scale = float(np.linalg.norm(y) * np.linalg.norm(v))
+        assert abs(np.vdot(y, v) - np.vdot(x.data, x.grad)) <= 1e-12 * scale
+        np.testing.assert_allclose(
+            idwt2(Subbands(*map(Tensor, vs))).data, x.grad / 4,
+            rtol=1e-12, atol=1e-12)
