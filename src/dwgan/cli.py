@@ -1,9 +1,11 @@
 """Unified command-line surface.
 
 Subcommands: synthesize, dwt, metrics, gamma, train, ablate, dehaze.
-Every subcommand taking --seed is bit-deterministic across runs; the
-environment variable DWGAN_SEED is used when --seed is omitted. File
-formats are documented in docs/formats.md.
+Each setting is a flag, and nothing else sets it. Every subcommand taking
+--seed (default 0) is bit-deterministic across runs. synthesize, dwt,
+gamma and dehaze make their --out directory only after the work that bad
+input fails, so such a failure writes nothing. File formats are
+documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,27 +27,20 @@ from .train import TrainConfig, ablation_run, train_gan
 from .wavelet import Subbands, dwt2, idwt2
 
 
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("DWGAN_SEED", "0"))
-
-
 # -- synthesize ---------------------------------------------------------------
 
 def cmd_synthesize(args) -> int:
-    seed = _default_seed(args.seed)
-    rng = np.random.default_rng(seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(args.seed)
     base = hazesim.make_base_images(rng, max(4, args.n), args.size, args.size)
     pairs = hazesim.make_dataset(args.n, args.mode, base, rng)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "pairs.jsonl", "w") as fh:
         for i, pair in enumerate(pairs):
             datatool.write_image(out / f"clear_{i:04d}.ppm", pair.clear)
             datatool.write_image(out / f"hazy_{i:04d}.ppm", pair.hazy)
             fh.write(json.dumps({
-                "seed": seed, "index": i, "mode": args.mode,
+                "seed": args.seed, "index": i, "mode": args.mode,
                 "beta": pair.params.beta,
                 "A": pair.params.a.tolist(),
             }) + "\n")
@@ -61,15 +55,16 @@ _BANDS = ("ll", "lh", "hl", "hh")
 
 def cmd_dwt(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.inverse:
         bands = {b: load_tensor(Path(args.input) / f"{b}.bin") for b in _BANDS}
         img = idwt2(Subbands(**bands)).data[0]
+        out.mkdir(parents=True, exist_ok=True)
         datatool.write_image(out / "reconstructed.ppm", np.clip(img, 0, 1))
         print(f"wrote {out / 'reconstructed.ppm'}")
         return 0
     img = datatool.read_image(args.input)
     sub = dwt2(Tensor(img[None]))
+    out.mkdir(parents=True, exist_ok=True)
     sidecar = {}
     for band in _BANDS:
         t = getattr(sub, band)
@@ -143,61 +138,31 @@ def _write_csv(out, fieldnames, rows) -> None:
 # -- gamma --------------------------------------------------------------------
 
 def cmd_gamma(args) -> int:
+    if not args.out and args.target_mean is None:
+        raise ValueError("gamma needs --out, --target-mean or both")
     images = [datatool.read_image(p) for p in args.images]
+    gamma = args.gamma
     if args.target_mean is not None:
         match = datatool.match_brightness(images, args.target_mean)
         print(f"gamma={match.gamma:.6f} achieved_mean={match.achieved_mean:.3f} "
               f"iterations={match.iterations}")
         gamma = match.gamma
-    else:
-        gamma = args.gamma
     if args.out:
+        corrected = [datatool.gamma_correct(img, gamma) for img in images]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for path, img in zip(args.images, images):
-            datatool.write_image(out / Path(path).name,
-                                 datatool.gamma_correct(img, gamma))
+        for path, img in zip(args.images, corrected):
+            datatool.write_image(out / Path(path).name, img)
         print(f"wrote {len(images)} corrected images to {out}")
     return 0
 
 
 # -- train / ablate -----------------------------------------------------------
 
-# config-file key -> (command-line dest, default); the one list both of the
-# keys a file may set and of what applies when neither file nor flag does
-_CONFIG_KEYS = {
-    "base_channels": ("base_channels", 16), "depth": ("depth", 2),
-    "crop": ("crop", 32), "batch": ("batch", 4), "steps": ("steps", 200),
-    "lr0": ("lr", 1e-4),
-}
-
-
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    values = {}
-    lines = Path(args.config).read_text().splitlines() if args.config else []
-    for n, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{args.config}:{n}: unknown config key {key!r} "
-                             f"(known: {', '.join(_CONFIG_KEYS)})")
-        cast = type(_CONFIG_KEYS[key][1])
-        try:
-            values[key] = cast(value)
-        except ValueError:
-            raise ValueError(f"{args.config}:{n}: {key} = {value!r} is not "
-                             f"{cast.__name__}") from None
-    for key, (dest, default) in _CONFIG_KEYS.items():
-        flag = getattr(args, dest)
-        values[key] = flag if flag is not None else values.get(key, default)
-    mcfg = ModelConfig(base_channels=values["base_channels"],
-                       depth=values["depth"])
-    tcfg = TrainConfig(crop=values["crop"], batch=values["batch"],
-                       total_steps=values["steps"], lr0=values["lr0"],
-                       seed=_default_seed(args.seed))
-    return mcfg, tcfg
+    return (ModelConfig(base_channels=args.base_channels, depth=args.depth),
+            TrainConfig(crop=args.crop, batch=args.batch,
+                        total_steps=args.steps, lr0=args.lr, seed=args.seed))
 
 
 def cmd_train(args) -> int:
@@ -224,7 +189,7 @@ def cmd_ablate(args) -> int:
              "psnr": f"{r.psnr:.2f}", "ssim": f"{r.ssim:.4f}",
              "ref_psnr": f"{r.ref_psnr:.2f}", "ref_ssim": f"{r.ref_ssim:.4f}",
              "reference_reproduced": "no"}
-            for r in ablation_run(tcfg, mcfg, n_pairs=args.n_pairs)]
+            for r in ablation_run(tcfg, mcfg, args.n_pairs)]
     # the header is the rows' keys (there are always seven rows)
     _write_csv(args.out, list(rows[0]), rows)
     return 0
@@ -273,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       hazesim.NONHOMOGENEOUS],
                    default=hazesim.HOMOGENEOUS)
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
@@ -299,15 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("train", cmd_train), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
-                       help="flat key=value config file")
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--crop", type=int, default=None)
-        p.add_argument("--batch", type=int, default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--base-channels", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--steps", type=int, default=200)
+        p.add_argument("--crop", type=int, default=32)
+        p.add_argument("--batch", type=int, default=4)
+        p.add_argument("--lr", type=float, default=1e-4)
+        p.add_argument("--base-channels", type=int, default=16)
+        p.add_argument("--depth", type=int, default=2)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--n-pairs", type=int, default=16)
         if name == "train":
             p.add_argument("--image-size", type=int, default=64)

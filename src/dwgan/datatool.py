@@ -98,6 +98,11 @@ def gamma_correct(img: np.ndarray, gamma: float) -> np.ndarray:
     return img ** gamma
 
 
+# the gamma bracket that match_brightness bisects, and its iteration cap
+GAMMA_RANGE = (0.1, 5.0)
+MAX_ITER = 40
+
+
 @dataclass
 class BrightnessMatch:
     gamma: float
@@ -110,20 +115,19 @@ def corrected_mean(images: list[np.ndarray], gamma: float) -> float:
 
 
 def match_brightness(images: list[np.ndarray], target_mean: float,
-                     lo: float = 0.1, hi: float = 5.0,
-                     tol: float = 0.5, max_iter: int = 40) -> BrightnessMatch:
-    """Bisection on gamma in [lo, hi] so the post-correction pooled gray
+                     tol: float = 0.5) -> BrightnessMatch:
+    """Bisection on gamma in GAMMA_RANGE so the post-correction pooled gray
     mean hits ``target_mean`` within ``tol`` gray levels.
 
     The mean is strictly decreasing in gamma (for images not entirely 0/1),
-    so bisection converges; 40 iterations narrow the bracket below 1e-11.
+    so bisection converges; MAX_ITER (40) iterations narrow the bracket
+    below 1e-11.
     """
     if not images:
         raise ValueError("no source images")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     if not 0 < target_mean < 255:
         raise ValueError("target mean must lie in (0, 255)")
+    lo, hi = GAMMA_RANGE
     mean_hi = corrected_mean(images, hi)   # darkest achievable
     mean_lo = corrected_mean(images, lo)   # brightest achievable
     if not mean_hi <= target_mean <= mean_lo:
@@ -132,7 +136,7 @@ def match_brightness(images: list[np.ndarray], target_mean: float,
             f"[{mean_hi:.2f}, {mean_lo:.2f}] for gamma in [{lo}, {hi}]"
         )
     g_lo, g_hi = lo, hi
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         gamma = (g_lo + g_hi) / 2
         mean = corrected_mean(images, gamma)
         if abs(mean - target_mean) <= tol:

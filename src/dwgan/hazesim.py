@@ -23,6 +23,10 @@ NONHOMOGENEOUS = "nonhomogeneous"
 
 BETA_RANGE = (0.6, 1.8)
 A_RANGE = (0.7, 1.0)
+# Gaussian bumps summed into a non-homogeneous density field
+BLOBS = 6
+# the floor on t by which invert_haze divides
+T_MIN = 0.05
 
 
 @dataclass
@@ -81,13 +85,12 @@ def apply_haze(clear: np.ndarray, t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return clear * t[None] + a * (1.0 - t[None])
 
 
-def invert_haze(hazy: np.ndarray, t: np.ndarray, a: np.ndarray,
-                t_min: float = 0.05) -> np.ndarray:
-    """Analytic inversion J = (I - A*(1 - t)) / t; valid where t >= t_min."""
+def invert_haze(hazy: np.ndarray, t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Analytic inversion J = (I - A*(1 - t)) / t; valid where t >= T_MIN."""
     hazy = np.asarray(hazy, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64).reshape(3, 1, 1)
-    tc = np.maximum(t, t_min)[None]
+    tc = np.maximum(t, T_MIN)[None]
     return (hazy - a * (1.0 - t[None])) / tc
 
 
@@ -152,9 +155,9 @@ def sample_homogeneous(rng: np.random.Generator, h: int = 64,
     return HazeParams(a=np.full(3, a), beta=beta, t=t)
 
 
-def nonhomogeneous_field(rng: np.random.Generator, h: int, w: int,
-                         blobs: int = 6) -> np.ndarray:
-    """Sum of random anisotropic Gaussian bumps, clipped to [0, 1].
+def nonhomogeneous_field(rng: np.random.Generator, h: int,
+                         w: int) -> np.ndarray:
+    """Sum of BLOBS random anisotropic Gaussian bumps, clipped to [0, 1].
 
     The result is used directly as the haze density (1 - t).
     """
@@ -162,7 +165,7 @@ def nonhomogeneous_field(rng: np.random.Generator, h: int, w: int,
         raise ValueError("field must be at least 8x8")
     field = np.zeros((h, w))
     yy, xx = np.ogrid[0:h, 0:w]
-    for _ in range(blobs):
+    for _ in range(BLOBS):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         sy = rng.uniform(0.08, 0.35) * h
         sx = rng.uniform(0.08, 0.35) * w
@@ -208,12 +211,16 @@ _GENERATORS = (checkerboard, gradient_image, noise_image, stripe_image)
 def make_base_images(rng: np.random.Generator, n: int, h: int = 64,
                      w: int = 64) -> list[np.ndarray]:
     """Procedural clear images so the pipeline runs with zero external data."""
+    if h < 1 or w < 1:
+        raise ValueError(f"image size {h}x{w} is not positive")
     return [_GENERATORS[i % len(_GENERATORS)](rng, h, w) for i in range(n)]
 
 
 def make_dataset(n: int, mode: str, base_images: list[np.ndarray],
                  rng: np.random.Generator) -> list[HazePair]:
     """n hazy/clear pairs with recorded parameters; deterministic under seed."""
+    if n < 0:
+        raise ValueError(f"pair count {n} is negative")
     if n > 0 and not base_images:
         raise ValueError("no base images supplied")
     if mode not in (HOMOGENEOUS, NONHOMOGENEOUS):

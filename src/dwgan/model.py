@@ -447,7 +447,9 @@ def load_checkpoint(directory) -> tuple[Generator, Discriminator | None, dict]:
     gen, manifest = load_generator(directory)
     disc = None
     if (directory / "disc_params").exists():
-        disc = Discriminator(gen.cfg, seed=manifest.get("disc_seed", 1),
-                             draw=False)
+        if "disc_seed" not in manifest:
+            raise ValueError(f"{directory / 'manifest.json'}: missing key "
+                             "'disc_seed', which disc_params/ needs")
+        disc = Discriminator(gen.cfg, seed=manifest["disc_seed"], draw=False)
         _load_params(disc, directory / "disc_params")
     return gen, disc, manifest

@@ -330,16 +330,15 @@ class AblationRow:
 
 
 def ablation_run(base_train_cfg: TrainConfig, model_cfg: ModelConfig,
-                 dataset: list[HazePair] | None = None,
-                 n_pairs: int = 24) -> list[AblationRow]:
-    """Run the seven branch/loss configurations at toy scale and report a
-    reference-style table. No ordering guarantee is made at this scale;
-    the full-scale numbers ride along as a fixed reference column."""
-    if dataset is None:
-        rng = np.random.default_rng(base_train_cfg.seed + 1000)
-        base = make_base_images(rng, 8, 2 * base_train_cfg.crop,
-                                2 * base_train_cfg.crop)
-        dataset = make_dataset(n_pairs, "homogeneous", base, rng)
+                 n_pairs: int) -> list[AblationRow]:
+    """Run the seven branch/loss configurations at toy scale, on n_pairs
+    homogeneous pairs twice the crop a side drawn from seed + 1000, and
+    report a reference-style table. No ordering guarantee is made at this
+    scale; the full-scale numbers ride along as a fixed reference column."""
+    rng = np.random.default_rng(base_train_cfg.seed + 1000)
+    base = make_base_images(rng, 8, 2 * base_train_cfg.crop,
+                            2 * base_train_cfg.crop)
+    dataset = make_dataset(n_pairs, "homogeneous", base, rng)
     rows: list[AblationRow] = []
     for (label, dwt_b, ka_b, dwt_m, use_per, use_ms, use_adv,
          ref_p, ref_s) in ABLATION_CONFIGS:
@@ -353,7 +352,7 @@ def ablation_run(base_train_cfg: TrainConfig, model_cfg: ModelConfig,
         tcfg = replace(base_train_cfg, weights=w)
         gen = Generator(mcfg, seed=tcfg.seed)
         disc = Discriminator(mcfg, seed=tcfg.seed + 1) if w.gamma > 0 else None
-        result = train_gan(gen, disc, list(dataset), tcfg)
+        result = train_gan(gen, disc, dataset, tcfg)
         rows.append(AblationRow(
             label=label,
             losses={"l1": True, "perceptual": w.beta > 0,

@@ -64,13 +64,25 @@ class TestSynthesize:
                   "--out", str(tmp_path / run)])
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
-    def test_env_seed_used_when_flag_omitted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DWGAN_SEED", "7")
+    def test_seed_defaults_to_zero(self, tmp_path):
         main(["synthesize", "--n", "2", "--size", "32",
-              "--out", str(tmp_path / "env")])
-        main(["synthesize", "--n", "2", "--size", "32", "--seed", "7",
+              "--out", str(tmp_path / "default")])
+        main(["synthesize", "--n", "2", "--size", "32", "--seed", "0",
               "--out", str(tmp_path / "flag")])
-        assert dir_bytes(tmp_path / "env") == dir_bytes(tmp_path / "flag")
+        assert dir_bytes(tmp_path / "default") == dir_bytes(tmp_path / "flag")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "-1"], "pair count -1 is negative"),
+        (["--size", "0"], "image size 0x0 is not positive"),
+        (["--size", "7", "--mode", "nonhomogeneous"],
+         "field must be at least 8x8"),
+    ], ids=["negative_n", "zero_size", "field_below_8"])
+    def test_bad_setting_writes_nothing(self, tmp_path, capsys, flags,
+                                        message):
+        out = tmp_path / "ds"
+        assert main(["synthesize", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDwt:
@@ -98,11 +110,13 @@ class TestDwt:
         assert main(["dwt", str(sub), "--inverse",
                      "--out", str(tmp_path / "rec")]) == 1
         assert "error: truncated header" in capsys.readouterr().err
+        assert not (tmp_path / "rec").exists()
 
     def test_odd_image_fails_cleanly(self, tmp_path):
         src = tmp_path / "odd.ppm"
         write_image(src, np.zeros((3, 5, 5)))
         assert main(["dwt", str(src), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestMetrics:
@@ -161,6 +175,21 @@ class TestGamma:
         corrected = read_image(out / "s.ppm")
         assert abs(corrected.mean() - 0.5) < 2 / 255
 
+    def test_negative_gamma_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "s.ppm"
+        write_image(src, np.full((3, 8, 8), 0.25))
+        out = tmp_path / "out"
+        assert main(["gamma", str(src), "--gamma", "-1",
+                     "--out", str(out)]) == 1
+        assert "gamma must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nothing_to_do_is_an_error(self, tmp_path, capsys):
+        src = tmp_path / "s.ppm"
+        write_image(src, np.full((3, 8, 8), 0.25))
+        assert main(["gamma", str(src)]) == 1
+        assert capsys.readouterr().err.startswith("error: gamma needs")
+
 
 class TestTrainDehaze:
     def test_train_then_dehaze(self, tmp_path):
@@ -194,32 +223,17 @@ class TestTrainDehaze:
         assert (run / "final" / "manifest.json").exists()
         assert (run / "log.csv").exists()
 
-    def test_config_file_overrides(self, tmp_path, capsys):
-        def train(cfg_text, *flags):
-            cfg = tmp_path / "toy.cfg"
-            cfg.write_text(cfg_text)
-            run = tmp_path / "run"
-            rc = main(["train", "--config", str(cfg), "--batch", "2",
-                       "--n-pairs", "6", "--image-size", "32", "--no-adv",
-                       "--out", str(run), *flags])
-            if rc:
-                return rc, capsys.readouterr().err
-            with open(run / "log.csv") as fh:
-                return rc, list(csv.DictReader(fh))
-
-        base = "base_channels = 4\ncrop = 32\n"
-        rc, rows = train("# comment\nsteps = 2\n" + base)
-        assert rc == 0 and len(rows) == 2
-        # explicit zeros are kept, not replaced by the defaults
-        assert train("steps = 0\n" + base) == (0, [])
-        assert train("steps = 3\n" + base, "--steps", "0") == (0, [])
-        # the flag's 0 is kept over the file's lr0, and cannot train
-        rc, err = train("steps = 1\nlr0 = 1e-3\n" + base, "--lr", "0")
-        assert rc == 1 and "lr0 must be finite and > 0" in err
-        rc, err = train("base_chanels = 4\nsteps = 1\n")
-        assert rc == 1 and "'base_chanels'" in err
-        rc, err = train("steps = two\n" + base)
-        assert rc == 1 and "steps" in err
+    def test_zero_flags_are_kept(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        args = ["train", "--base-channels", "4", "--batch", "2",
+                "--n-pairs", "6", "--image-size", "32", "--no-adv",
+                "--out", str(run)]
+        # an explicit 0 is kept, not replaced by the default
+        assert main([*args, "--steps", "0"]) == 0
+        assert (run / "log.csv").read_text().splitlines() == [
+            "step,lr,l1,ms_ssim,perceptual,adv,total"]
+        assert main([*args, "--lr", "0"]) == 1
+        assert "lr0 must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "-1"], "lr0 must be finite and > 0"),
@@ -448,6 +462,13 @@ class TestParser:
         build_parser().parse_args(["train", "--out", "r", *flags])
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["ablate", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_config_file(self, capsys):
+        # each setting is a flag; there is no second route to it
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--config", "c", "--out", "r"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

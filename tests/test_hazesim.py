@@ -82,14 +82,9 @@ class TestSampling:
 
 
 class TestNonhomogeneousField:
-    def test_zero_blobs(self):
-        rng = np.random.default_rng(6)
-        np.testing.assert_array_equal(
-            hazesim.nonhomogeneous_field(rng, 16, 16, blobs=0), 0.0)
-
     def test_bounded(self):
         rng = np.random.default_rng(7)
-        f = hazesim.nonhomogeneous_field(rng, 32, 32, blobs=12)
+        f = hazesim.nonhomogeneous_field(rng, 32, 32)
         assert f.min() >= 0.0 and f.max() <= 1.0
 
     def test_deterministic(self):
@@ -134,10 +129,10 @@ def _grid_smooth_noise(rng, h, w, cells=4):
             + c10 * fy * (1 - fx) + c11 * fy * fx)
 
 
-def _grid_nonhomogeneous(rng, h, w, blobs=6):
+def _grid_nonhomogeneous(rng, h, w):
     field = np.zeros((h, w))
     yy, xx = np.mgrid[0:h, 0:w]
-    for _ in range(blobs):
+    for _ in range(hazesim.BLOBS):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
         sy = rng.uniform(0.08, 0.35) * h
         sx = rng.uniform(0.08, 0.35) * w

@@ -317,6 +317,8 @@ class TestCheckpoint:
          "'use_dwt_modules'"),
         (lambda m: m.update(seed="0"), "'seed'"),
         (lambda m: m.update(disc_seed=1.0), "'disc_seed'"),
+        # disc_params/ is there, so its seed must be too
+        (lambda m: m.pop("disc_seed"), "missing key 'disc_seed'"),
         (lambda m: m.update(config=[["depth", 2]]), "'config'"),
         # a deleted setting is an unknown key, even at its old default
         (lambda m: m["config"].update(attention_reduction=0),
@@ -330,10 +332,12 @@ class TestCheckpoint:
     ], ids=["no_config", "no_seed", "unknown_key", "missing_key",
             "channels_int", "channels_str_item", "depth_str", "depth_float",
             "int_bool", "bool_int", "bool_str", "seed_str", "disc_seed_float",
-            "config_list", "reduction_zero", "deleted_encoder_seed",
-            "deleted_encoder_trainable", "channel_zero"])
+            "no_disc_seed", "config_list", "reduction_zero",
+            "deleted_encoder_seed", "deleted_encoder_trainable",
+            "channel_zero"])
     def test_manifest_config_keys_checked(self, tmp_path, edit, key):
-        save_checkpoint(tmp_path, Generator(small_cfg(), seed=0))
+        save_checkpoint(tmp_path, Generator(small_cfg(), seed=0),
+                        Discriminator(small_cfg(), seed=1))
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest)

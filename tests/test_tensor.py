@@ -966,8 +966,9 @@ def assert_adjoint(y, v, pairs):
 class TestAdjoints:
     """Dot-product tests of the linear ops' backwards: one forward gives
     A x and one backward seeded with v gives A^T v. conv2d is linear in
-    its input and in its kernel, so one pass checks both transposes. The
-    band sizes are shrunk so that several bands run, the last one short."""
+    its input and in its kernel, so one pass checks both transposes; for
+    conv2d and window the band sizes are shrunk so that several bands run,
+    the last one short."""
 
     @pytest.mark.parametrize("transposed", [True, False],
                              ids=["transposed", "im2col"])
@@ -1037,6 +1038,63 @@ class TestAdjoints:
             v = rng.normal(size=y.shape)
             (y * Tensor(v)).sum().backward()
         assert_adjoint(y.data, v, [(x.data, x.grad)])
+
+    @staticmethod
+    def forward_backward(fn, x, rng):
+        """A x for ``x`` (a leaf that needs a gradient), a drawn v, and
+        A^T v in ``x.grad``, from one forward and one backward."""
+        y = fn(x)
+        v = rng.normal(size=y.shape)
+        (y * Tensor(v)).sum().backward()
+        assert_adjoint(y.data, v, [(x.data, x.grad)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_small(2), oi=st.integers(0, 1), oj=st.integers(0, 1),
+           seed=st.integers(0, 2 ** 16))
+    def test_subsample2(self, shape, oi, oj, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        self.forward_backward(lambda t: subsample2(t, oi, oj), x, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_small(), which=st.integers(0, 3),
+           seed=st.integers(0, 2 ** 16))
+    def test_interleave2(self, shape, which, seed):
+        # linear in the four phases together: with the other three zero,
+        # the output is the one phase's A x
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        zeros = [Tensor(np.zeros(shape)) for _ in range(3)]
+        self.forward_backward(
+            lambda t: interleave2(*zeros[:which], t, *zeros[which:]), x, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 2), st.sampled_from([4, 8]),
+                           st.integers(1, 6), st.integers(1, 6)),
+           seed=st.integers(0, 2 ** 16))
+    def test_pixel_shuffle(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        self.forward_backward(lambda t: pixel_shuffle(t, 2), x, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_small(), form=st.sampled_from(["flat", "rows", "column"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_reshape(self, shape, form, seed):
+        rng = np.random.default_rng(seed)
+        b, c, h, w = shape
+        to = {"flat": (b * c * h * w,), "rows": (b * c, h * w),
+              "column": (b, c * h * w, 1)}[form]
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        self.forward_backward(lambda t: reshape(t, to), x, rng)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_small(), axes=st.sampled_from([None, (2, 3)]),
+           seed=st.integers(0, 2 ** 16))
+    def test_tsum(self, shape, axes, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        self.forward_backward(lambda t: tsum(t, axes), x, rng)
 
 
 def conv_layout(shape, seed):

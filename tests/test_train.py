@@ -340,9 +340,7 @@ class TestTrainGan:
 
 class TestAblation:
     def test_seven_rows_with_reference(self):
-        rows = ablation_run(
-            smoke_cfg(total_steps=2),
-            small_model_cfg(), dataset=small_dataset(6))
+        rows = ablation_run(smoke_cfg(total_steps=2), small_model_cfg(), 6)
         assert len(rows) == 7
         for row, ref in zip(rows, ABLATION_CONFIGS):
             assert row.label == ref[0]
