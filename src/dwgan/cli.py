@@ -135,11 +135,25 @@ def _write_csv(out, fieldnames, rows) -> None:
             fh.close()
 
 
+def _output_names(paths: list[str]) -> list[str]:
+    """The file name under which each input's result is written to --out.
+    Raises ValueError when two inputs share one, as the second result
+    would overwrite the first."""
+    names, seen = [Path(p).name for p in paths], set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"two inputs are named {name}; their outputs "
+                             "would overwrite each other in --out")
+        seen.add(name)
+    return names
+
+
 # -- gamma --------------------------------------------------------------------
 
 def cmd_gamma(args) -> int:
     if not args.out and args.target_mean is None:
         raise ValueError("gamma needs --out, --target-mean or both")
+    names = _output_names(args.images) if args.out else []
     images = [datatool.read_image(p) for p in args.images]
     gamma = args.gamma
     if args.target_mean is not None:
@@ -151,8 +165,8 @@ def cmd_gamma(args) -> int:
         corrected = [datatool.gamma_correct(img, gamma) for img in images]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for path, img in zip(args.images, corrected):
-            datatool.write_image(out / Path(path).name, img)
+        for name, img in zip(names, corrected):
+            datatool.write_image(out / name, img)
         print(f"wrote {len(images)} corrected images to {out}")
     return 0
 
@@ -202,6 +216,7 @@ def cmd_dehaze(args) -> int:
     targets = args.target or []
     if targets and len(targets) != len(args.images):
         raise ValueError("number of --target files must match inputs")
+    names = _output_names(args.images)
     # every input and pair is read and checked before any image is
     # dehazed, so one that cannot be dehazed or scored writes nothing,
     # not even the output directory
@@ -214,12 +229,11 @@ def cmd_dehaze(args) -> int:
         _fitted(img, tgt, ms_levels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, path in enumerate(args.images):
+    for i, name in enumerate(names):
         dehazed = gen.dehaze(images[i])
-        datatool.write_image(out / Path(path).name, dehazed)
+        datatool.write_image(out / name, dehazed)
         if tgts:
-            rows.append(_metrics_row(Path(path).name, dehazed, tgts[i],
-                                     ms_levels))
+            rows.append(_metrics_row(name, dehazed, tgts[i], ms_levels))
     if rows:
         _write_csv(str(out / "metrics.csv"), _METRIC_FIELDS, rows)
     print(f"wrote {len(args.images)} dehazed images to {out}")
@@ -256,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="apply or solve gamma correction")
     p.add_argument("images", nargs="+")
-    p.add_argument("--gamma", type=float, default=0.65)
-    p.add_argument("--target-mean", type=float, default=None,
-                   help="solve for gamma matching this gray mean")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--gamma", type=float, default=0.65)
+    given.add_argument("--target-mean", type=float, default=None,
+                       help="solve for gamma matching this gray mean")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gamma)
 

@@ -92,8 +92,9 @@ class Adam:
 
     The moments and the parameters are updated in place, with the
     elementwise order of the textbook update, so the result is
-    bit-identical to it. Its intermediates go to two scratch arrays the
-    size of the largest parameter, allocated once.
+    bit-identical to it. Its two intermediates are temporaries of each
+    parameter's shape, freed before the next parameter's are made, so
+    between steps the optimizer holds only its moments.
     """
 
     B1, B2 = 0.9, 0.999
@@ -104,8 +105,6 @@ class Adam:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        n = max((p.size for p in params.values()), default=0)
-        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self, lr: float) -> None:
         """One update from the parameters' ``.grad``.
@@ -125,7 +124,7 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in {name!r}")
             m, v = self.m[name], self.v[name]
-            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
+            a, b = np.empty_like(g), np.empty_like(g)
             # m = b1*m + (1-b1)*g
             np.multiply(m, b1, out=m)
             np.add(m, np.multiply(g, 1 - b1, out=a), out=m)
@@ -138,6 +137,7 @@ class Adam:
             np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=b), out=b),
                    self.EPS, out=b)
             np.subtract(p.data, np.divide(a, b, out=a), out=p.data)
+            del a, b
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -190,6 +190,34 @@ class TestGamma:
         assert main(["gamma", str(src)]) == 1
         assert capsys.readouterr().err.startswith("error: gamma needs")
 
+    def test_shared_file_name_writes_nothing(self, tmp_path, capsys):
+        # a/s.ppm and b/s.ppm would both be written as out/s.ppm
+        paths = [tmp_path / d / "s.ppm" for d in "ab"]
+        for path in paths:
+            path.parent.mkdir()
+            write_image(path, np.full((3, 8, 8), 0.25))
+        out = tmp_path / "out"
+        assert main(["gamma", *map(str, paths), "--gamma", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: two inputs are named s.ppm")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_gamma_and_target_mean_exclusive(self, tmp_path, capsys):
+        src = tmp_path / "s.ppm"
+        write_image(src, np.full((3, 8, 8), 0.25))
+        out = tmp_path / "out"
+        argv = ["gamma", str(src), "--gamma", "2", "--target-mean", "100",
+                "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainDehaze:
     def test_train_then_dehaze(self, tmp_path):
@@ -374,6 +402,26 @@ class TestTrainDehaze:
         assert main(["dehaze", *paths[:2], "--checkpoint", str(ckpt),
                      *targets, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dehaze_shared_file_name_writes_nothing(self, tmp_path, capsys):
+        # a/hazy.ppm and b/hazy.ppm would both be written as o/hazy.ppm,
+        # and metrics.csv would name two rows hazy.ppm
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, Generator(ModelConfig(base_channels=4, depth=2),
+                                        seed=0))
+        dirs = [tmp_path / d for d in "ab"]
+        for d in dirs:
+            d.mkdir()
+            for name in ("hazy.ppm", "clear.ppm"):
+                write_image(d / name, np.zeros((3, 32, 32)) + 0.5)
+        out = tmp_path / "o"
+        assert main(["dehaze", *(str(d / "hazy.ppm") for d in dirs),
+                     "--checkpoint", str(ckpt),
+                     "--target", *(str(d / "clear.ppm") for d in dirs),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: two inputs are named hazy.ppm")
         assert not out.exists()
 
     def test_dehaze_target_count_mismatch(self, tmp_path):
